@@ -22,7 +22,7 @@ asserts the relaxed contract's two invariants inline:
   runs the gate next to this benchmark.
 
 Speedups grow with packet length (fewer header decisions per flit
-moved, so the vectorized body phase dominates) and with topology size
+moved, so the batched body phase dominates) and with topology size
 (wider numpy batches per clock); both axes are in the matrix so the
 committed baseline documents the shape, not just one flattering point.
 The deadlock watchdog is disabled (``deadlock_interval=0``) to time

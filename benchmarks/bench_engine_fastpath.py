@@ -74,8 +74,8 @@ def measure(make_sim, cfg, pairs: int):
     """Median per-pair speedup of fast over reference; asserts identity."""
     ratios = []
     for _ in range(pairs):
-        t_ref, d_ref = _timed_run(make_sim, cfg.with_fast_path(False))
-        t_fast, d_fast = _timed_run(make_sim, cfg.with_fast_path(True))
+        t_ref, d_ref = _timed_run(make_sim, cfg.with_engine("reference"))
+        t_fast, d_fast = _timed_run(make_sim, cfg.with_engine("fast"))
         if d_ref != d_fast:
             raise AssertionError(
                 "fast path diverged from the reference engine — "

@@ -84,11 +84,11 @@ def _parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--engine", default=None, choices=sorted(ENGINES),
-            help="simulator step engine for every run (default: the "
-            "fast path, or $REPRO_ENGINE); reference/fast/vectorized "
-            "are bit-identical — choosing among them only trades speed "
-            "— while 'batch' is certified statistically (see the "
-            "equivalence subcommand) and changes result identities",
+            help="simulator step engine for every run (default: fast); "
+            "reference and fast are bit-identical — choosing between "
+            "them only trades speed — while 'batch' is certified "
+            "statistically (see the equivalence subcommand) and changes "
+            "result identities",
         )
         sp.add_argument(
             "--replicas", type=int, default=None, metavar="R",
@@ -214,7 +214,7 @@ def _parser() -> argparse.ArgumentParser:
     wk.add_argument(
         "--engine", default=None, choices=sorted(ENGINES),
         help="simulator step engine; workers of one campaign may mix "
-        "the bit-identical engines (reference/fast/vectorized) freely, "
+        "the bit-identical engines (reference/fast) freely, "
         "but 'batch' results carry engine-variant unit digests and "
         "never merge with bit-exact shards",
     )
@@ -328,10 +328,9 @@ def _parser() -> argparse.ArgumentParser:
         help="engine under certification (default: batch)",
     )
     eq.add_argument(
-        "--oracles", nargs="+", default=["fast", "vectorized"],
+        "--oracles", nargs="+", default=["fast"],
         choices=sorted(BIT_EXACT_ENGINES),
-        help="bit-exact engines to certify against (default: both "
-        "fast and vectorized)",
+        help="bit-exact engines to certify against (default: fast)",
     )
     eq.add_argument(
         "--seeds", type=int, default=10,

@@ -46,15 +46,13 @@ class ExperimentPreset:
     rates: Tuple[float, ...]
     rate_scale_8port: float
     seed: int
-    #: step-engine override for every run in the campaign; ``None``
-    #: defers to the config default (``REPRO_ENGINE`` env, else the
-    #: fast path).  Bit-exact engines ("reference" / "fast" /
-    #: "vectorized") give bit-identical results — choosing among them
+    #: step engine for every run in the campaign; ``None`` means the
+    #: config default, ``"fast"``.  The bit-exact engines ("reference"
+    #: / "fast") give bit-identical results — choosing between them
     #: only trades speed.  The relaxed engine ("batch") is
     #: deterministic per seed but certified only distributionally
     #: (``repro.simulator.equivalence``): its units get engine-variant
-    #: ledger digests and results tagged ``equivalence: statistical``,
-    #: and it must be pinned here, not via ``REPRO_ENGINE``.
+    #: ledger digests and results tagged ``equivalence: statistical``.
     engine: Optional[str] = None
     #: seed-replicas per work unit.  1 (default) keeps the classic one
     #: -run-per-unit shape.  R > 1 expands every (sample, algorithm,

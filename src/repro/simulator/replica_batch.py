@@ -49,18 +49,11 @@ fused clock loop:
 replicated run produces a ``statistical_fingerprint`` *identical* to a
 sequential ``engine="batch"`` run with the same seed: replicas share no
 RNG streams (each core derives its own from its config seed via the
-PR-9 counter-hash scheme), the fused sweeps compute the same
+batch engine's counter-hash scheme), the fused sweeps compute the same
 per-replica values the sequential phases would, and per-replica event
 ordering (arbitration requests, traffic firing, drains) is preserved by
 construction.  The test suite asserts this per seed across the traffic
 matrix, and the committed benchmark re-asserts it on every run.
-
-**Array backend.**  The fused bulk arithmetic is written against the
-:mod:`repro.util.xp` seam.  numpy (the default) is the only *certified*
-backend and the only zero-copy one; selecting ``cupy``/``torch`` via
-``REPRO_ARRAY_BACKEND`` offloads the fused room-mask computation with
-explicit per-clock transfers — a feature-gated experiment, not a
-supported fast path (see ``docs/simulator.md``).
 
 **Unsupported in replica mode** (use sequential runs): live fault
 schedules, tracers, and mid-run external mutation of worm/occupancy
@@ -82,9 +75,7 @@ from repro.simulator.engine import (
 )
 from repro.simulator.stats import SimulationStats
 from repro.simulator.vec_state import stack_states
-from repro.util import xp as xp_seam
 from repro.util.rng import derive_seed
-from repro.util.xp import to_device, to_host
 
 __all__ = [
     "ReplicaBatchCore",
@@ -289,9 +280,6 @@ class ReplicaBatchCore:
         #: early-drain mask makes quiet replicas skip resolve entirely,
         #: so tests can assert this stays below R * clocks
         self.resolve_calls = 0
-        #: offload the fused room mask when a non-numpy backend is
-        #: selected through the repro.util.xp seam (experimental)
-        self._device = not xp_seam.is_numpy()
 
     # ------------------------------------------------------------------
     def _merge_traffic(self) -> None:
@@ -333,15 +321,6 @@ class ReplicaBatchCore:
             if clock > core._gen_horizon:
                 core._extend_traffic(max(clock + 4096, core._gen_horizon * 2))
         self._merge_traffic()
-
-    def _room_mask(self, gact: np.ndarray, dng: np.ndarray) -> np.ndarray:
-        """Fused body plan: which active slots may advance this clock."""
-        if not self._device:
-            return self._f_flat[dng] < self._cd_flat[gact]
-        f = to_device(self._f_flat)  # pragma: no cover - optional backend
-        return to_host(  # pragma: no cover - optional backend
-            f[to_device(dng)] < to_device(self._cd_flat)[to_device(gact)]
-        )
 
     # ------------------------------------------------------------------
     def _step(self) -> None:
@@ -388,10 +367,7 @@ class ReplicaBatchCore:
                 self._plan_dirty = False
             else:
                 dng = self._dng
-            if self._device:  # pragma: no cover - optional backend
-                room = self._room_mask(gact, dng)
-            else:
-                room = f_flat[dng] < self._cdg
+            room = f_flat[dng] < self._cdg
             movers = gact[room]
             if movers.size:
                 fm = f_flat[movers] - 1

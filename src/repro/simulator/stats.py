@@ -93,7 +93,7 @@ class StatsCollector:
         self.sched_visited_worms = 0
         self.sched_active_worms = 0
         self.sched_clocks = 0
-        #: vectorized-engine telemetry: flits moved by the batched body
+        #: batch-engine telemetry: flits moved by the batched body
         #: phase and clocks it ran, summed over measured clocks
         self.vec_moved_flits = 0
         self.vec_clocks = 0
@@ -153,27 +153,17 @@ class StatsCollector:
             self.sched_active_worms += active_worms
             self.sched_clocks += 1
 
-    def timeline_due(self) -> bool:
-        """True when :meth:`on_tick` will record a snapshot right now.
-
-        Exposed so engines that defer counter batches (the array cores)
-        can flush exactly when a tick is about to *read* the counters —
-        sharing this predicate keeps the flush boundary and the read
-        boundary from ever drifting apart.
-        """
-        return bool(
-            self.timeline_interval
-            and self.active
-            and self.window_clocks % self.timeline_interval == 0
-        )
-
     def on_tick(self) -> None:
         """Record a timeline snapshot if the cadence is due.
 
         Called once per *measured* clock (after ``window_clocks`` was
         incremented); cheap no-op when ``timeline_interval`` is 0.
         """
-        if self.timeline_due():
+        if (
+            self.timeline_interval
+            and self.active
+            and self.window_clocks % self.timeline_interval == 0
+        ):
             self._timeline.append(
                 (self.window_clocks, int(sum(self.consumed_flits)))
             )
@@ -183,12 +173,12 @@ class StatsCollector:
     ) -> "SimulationStats":
         """Freeze the window counters into a :class:`SimulationStats`.
 
-        The counter arrays are *copied*, never aliased: the array
-        engines rebind ``channel_flits``/``consumed_flits``/
+        The counter arrays are *copied*, never aliased: the batch
+        engine rebinds ``channel_flits``/``consumed_flits``/
         ``injected_flits`` to live int64 ndarrays, and ``np.asarray``
         on those is a no-copy view — a frozen snapshot would then keep
         mutating (and change its ``canonical_digest``) as later clocks
-        flush their deferred counter batches into the same storage.
+        credit more flits to the same storage.
         """
         if self.window_clocks <= 0:
             raise ValueError("no measurement window was recorded")
@@ -261,7 +251,7 @@ class SimulationStats:
     sched_visited_worms: int = 0
     sched_active_worms: int = 0
     sched_clocks: int = 0
-    #: vectorized-engine telemetry (zero on the scalar paths): flits
+    #: batch-engine telemetry (zero on the scalar paths): flits
     #: moved by the batched body phase and measured clocks it ran.
     #: Engine bookkeeping, NOT simulated physics — deliberately
     #: excluded from :meth:`canonical_digest`.
@@ -340,7 +330,7 @@ class SimulationStats:
 
     @property
     def vec_flits_per_clock(self) -> float:
-        """Mean flits the vectorized body phase moved per clock.
+        """Mean flits the batched body phase moved per clock.
 
         Batch-size telemetry of the struct-of-arrays engine (``nan``
         on the scalar paths) — large values mean each numpy scatter

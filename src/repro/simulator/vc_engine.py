@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.routing.base import RoutingFunction
 from repro.routing.duato import DuatoRouting
-from repro.simulator.config import SimulationConfig
+from repro.simulator.config import BIT_EXACT_ENGINES, SimulationConfig
 from repro.simulator.fastpath import (
     DecisionCache,
     InjectionWheel,
@@ -142,19 +142,16 @@ class VirtualChannelSimulator:
         #: of its dirty window (fast path); see the base engine
         self._req_cache: Optional[List[tuple]] = None
         self._req_dirty_until = -1
-        #: engine selection: the VC engine has no vectorized body phase
-        #: (its body commits are RNG-ordered under shared per-link
-        #: budgets, inherently sequential), so ``"vectorized"`` and
-        #: ``"batch"`` select the fast path here — documented in the
-        #: config and docs
-        engine = (
-            config.resolved_engine
-            if hasattr(config, "resolved_engine")
-            else ("fast" if getattr(config, "fast_path", True) else "reference")
-        )
-        self.engine_name = (
-            "fast" if engine in ("vectorized", "batch") else engine
-        )
+        #: engine selection: the VC engine runs only the bit-exact
+        #: engines — its body commits are RNG-ordered under shared
+        #: per-link budgets, inherently sequential, so there is no
+        #: batched body phase to relax
+        self.engine_name = config.resolved_engine
+        if self.engine_name not in BIT_EXACT_ENGINES:
+            raise ValueError(
+                f"the VC engine runs only the bit-exact engines "
+                f"{BIT_EXACT_ENGINES}, not {self.engine_name!r}"
+            )
         self._move_impl = (
             self._move if self.engine_name == "reference" else self._move_fast
         )

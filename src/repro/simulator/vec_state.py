@@ -1,7 +1,7 @@
-"""Struct-of-arrays flit state for the vectorized engine.
+"""Struct-of-arrays flit state for the batch engine.
 
 The scalar engines walk per-worm channel chains (Python lists) every
-clock.  The vectorized engine keeps the same information as three flat
+clock.  The batch engine keeps the same information as three flat
 numpy arrays over a *unified channel id space* so one batched update
 rule covers consumption, in-network advances and source feeds alike:
 
@@ -99,7 +99,7 @@ class ArrayState:
 
         Called after any external mutation of worm/occupancy state (a
         fault hook dropping or truncating worms); the worm objects must
-        be coherent first — the vectorized engine syncs them before
+        be coherent first — the batch engine syncs them before
         running the hook, and the hook's own edits are by construction
         object-level.  One atomic rebuild replaces any incremental
         patching, so no array entry can ever mix pre- and post-event

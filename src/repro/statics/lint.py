@@ -3,7 +3,7 @@
 The codebase's determinism guarantees — byte-identical reruns under
 fixed seeds, engine-clock-only time, routing tables written exclusively
 by verified builders — were previously enforced by convention.  This
-linter enforces them statically, with seven repo-specific rules:
+linter enforces them statically, with six repo-specific rules:
 
 ``STA001`` *engine clock only*
     No wall-clock reads (``time.time``, ``time.perf_counter``,
@@ -51,13 +51,6 @@ linter enforces them statically, with seven repo-specific rules:
     annotations (``rng: np.random.Generator`` documents an *injected*
     source, exactly the sanctioned pattern) and the call targets STA002
     already reports.
-
-``STA007`` *accelerator backends only through repro.util.xp*
-    No direct ``cupy`` / ``torch`` / ``jax`` imports outside
-    :mod:`repro.util.xp` — the optional array backends are
-    feature-gated behind the ``REPRO_ARRAY_BACKEND`` seam (numpy-only
-    in CI), and a stray direct import would make a module fail to load
-    on machines without the accelerator stack installed.
 
 Run as ``python -m repro.statics.lint [paths...]`` (defaults to the
 installed ``repro`` package); exits non-zero when violations exist.
@@ -124,12 +117,6 @@ GUARDED_LOADERS: Dict[str, int] = {
     "tree_from_json": 1,
     "load_tree": 1,
 }
-
-#: the one module allowed to import accelerator array backends (STA007)
-ARRAY_BACKEND_ALLOWED = frozenset({"repro/util/xp.py"})
-
-#: accelerator top-level modules guarded by STA007
-ARRAY_BACKEND_MODULES = frozenset({"cupy", "torch", "jax", "jaxlib"})
 
 _BUILDER_NAME = re.compile(r"^build_\w+_routing$")
 
@@ -359,25 +346,6 @@ def lint_source(
                     f"artifact cache — only checksum-guarded cache entries "
                     f"may skip the Theorem-1/Definition-2 checks",
                 )
-
-    # --- STA007: accelerator imports only through repro.util.xp --------
-    if rel not in ARRAY_BACKEND_ALLOWED:
-        for node in ast.walk(tree):
-            roots: List[str] = []
-            if isinstance(node, ast.Import):
-                roots = [a.name.split(".")[0] for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-                roots = [node.module.split(".")[0]]
-            for root in roots:
-                if root in ARRAY_BACKEND_MODULES:
-                    add(
-                        node,
-                        "STA007",
-                        f"direct import of {root} — accelerator array "
-                        f"backends are feature-gated behind repro.util.xp "
-                        f"(REPRO_ARRAY_BACKEND); numpy stays the only "
-                        f"hard dependency",
-                    )
 
     # --- STA003: routing-table writes ----------------------------------
     if rel not in TABLE_BUILDER_MODULES:

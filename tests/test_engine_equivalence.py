@@ -3,21 +3,24 @@
 Three independent layers of cross-checking:
 
 * **Differential golden suite** (``TestEngineDifferential``): every
-  step implementation — the seed reference ``_move``, the active-set /
-  decision-cache fast path, and the struct-of-arrays vectorized core —
-  must replay the same simulation *byte for byte*: every RNG draw,
-  every grant, every committed flit.  Each scenario runs all three
-  engines under a fixed seed and compares
-  :meth:`SimulationStats.canonical_digest`, which hashes every
-  simulated-physics field of the result.  The reference engine is the
-  oracle; the other two are optimizations that must be invisible.
+  bit-exact step implementation — the seed reference ``_move`` and the
+  active-set / decision-cache fast path — must replay the same
+  simulation *byte for byte*: every RNG draw, every grant, every
+  committed flit.  Each scenario runs both engines under a fixed seed
+  and compares :meth:`SimulationStats.canonical_digest`, which hashes
+  every simulated-physics field of the result.  The reference engine is
+  the oracle; the fast path is an optimization that must be invisible.
+
+* **Injection interleaving** (``TestInjectionInterleaving``): same-clock
+  back-to-back injections at several sources produce identical
+  per-worm event logs on both engines.
 
 * **Cross-engine consistency**: base engine vs VC engine at
   ``num_vcs=1`` — two independently written step functions modelling
   the same machine must agree statistically.
 
-* **Vectorized white-box tests** live in ``test_vectorized_engine.py``
-  (epoch invalidation, injection interleaving, telemetry exclusion).
+* **Engine selection** (``TestEngineSelection``): ``engine`` is the one
+  selector, unset means ``"fast"``, and unknown names are rejected.
 """
 
 import dataclasses
@@ -35,12 +38,16 @@ from repro.routing.duato import build_duato_routing
 from repro.routing.updown import build_up_down_routing
 from repro.simulator import (
     BIT_EXACT_ENGINES,
+    ENGINES,
+    RELAXED_ENGINES,
     SimulationConfig,
     VirtualChannelSimulator,
     WormholeSimulator,
     simulate,
     simulate_vc,
 )
+from repro.simulator.packet import Worm
+from repro.simulator.trace import TraceRecorder
 from repro.simulator.traffic import (
     BitComplementTraffic,
     HotspotTraffic,
@@ -161,7 +168,7 @@ class TestEngineDifferential:
         _assert_equal(_digests(lambda c: WormholeSimulator(routing, c), cfg))
 
     def test_base_128_switches(self):
-        """The scale point where the vectorized body phase amortizes."""
+        """The paper's network scale (128 switches)."""
         topo = random_irregular_topology(128, 4, rng=5)
         routing = build_down_up_routing(topo, rng=7)
         cfg = SimulationConfig(
@@ -176,8 +183,8 @@ class TestEngineDifferential:
     @pytest.mark.parametrize("policy", ["drop", "drain"])
     def test_base_with_fault_schedule(self, net, cfg, policy):
         """Mid-run reconfiguration: table swap + dead-channel masking
-        must invalidate and rebuild the vectorized array state
-        atomically — any stale entry diverges the digest."""
+        must invalidate the fast path's decision cache and request
+        memos atomically — any stale entry diverges the digest."""
         topo, routing = net
 
         def make(c):
@@ -204,9 +211,7 @@ class TestEngineDifferential:
         _assert_equal(_digests(make, cfg))
 
     def test_vc_replicate_uniform(self, net, cfg):
-        """The VC engine resolves ``vectorized`` to its own fast path
-        (per-VC link budgets serialize body commits), so all three
-        engine names must still agree bit-for-bit."""
+        """The VC engine's reference and fast paths agree bit-for-bit."""
         _topo, routing = net
         _assert_equal(
             _digests(lambda c: VirtualChannelSimulator(routing, c, num_vcs=2), cfg)
@@ -259,21 +264,112 @@ class TestEngineDifferential:
         """The digest excludes scheduler telemetry, which only the fast
         path records — occupancy must be measured, and < 1."""
         _topo, routing = net
-        ref = WormholeSimulator(routing, cfg.with_fast_path(False)).run()
-        fast = WormholeSimulator(routing, cfg.with_fast_path(True)).run()
+        ref = WormholeSimulator(routing, cfg.with_engine("reference")).run()
+        fast = WormholeSimulator(routing, cfg.with_engine("fast")).run()
         assert ref.sched_clocks == 0
         assert fast.sched_clocks == cfg.measure_clocks
         assert 0.0 < fast.active_set_occupancy < 1.0
 
-    def test_vec_telemetry_only_on_vectorized_engine(self, net, cfg):
-        """Same for the vectorized core's moved-flit telemetry."""
+    def test_vec_telemetry_only_on_batch_engine(self, net, cfg):
+        """Same for the batch core's moved-flit telemetry."""
         _topo, routing = net
         fast = WormholeSimulator(routing, cfg.with_engine("fast")).run()
-        vec = WormholeSimulator(routing, cfg.with_engine("vectorized")).run()
+        batch = WormholeSimulator(routing, cfg.with_engine("batch")).run()
         assert fast.vec_clocks == 0
-        assert vec.vec_clocks == cfg.measure_clocks
-        assert vec.vec_moved_flits > 0
-        assert vec.vec_flits_per_clock > 0.0
+        assert batch.vec_clocks == cfg.measure_clocks
+        assert batch.vec_moved_flits > 0
+        assert batch.vec_flits_per_clock > 0.0
+
+
+def _small_cfg(**overrides):
+    base = dict(
+        packet_length=6,
+        injection_rate=0.0,
+        warmup_clocks=0,
+        measure_clocks=400,
+        seed=5,
+    )
+    base.update(overrides)
+    return SimulationConfig(**base)
+
+
+class TestInjectionInterleaving:
+    """Same-clock multi-source injection with back-to-back queues.
+
+    The engines discover injection requests through the event wheel in
+    per-source order and free an emptied source port during body
+    *commit* (after arbitration), so a queued back-to-back worm first
+    requests the clock after its predecessor's last flit left.
+    """
+
+    @staticmethod
+    def _record(routing, cfg, engine, n):
+        sim = WormholeSimulator(routing, cfg.with_engine(engine))
+        pid = 0
+        # three back-to-back worms at each of four sources, all queued
+        # for clock 0: the wheel sees four same-clock injection
+        # requests, and each port is re-requested the moment it frees
+        for src in (0, 3, 7, 11):
+            for _ in range(3):
+                w = Worm(pid, src, (src + n // 2) % n, 6, 0)
+                sim.queues[src].append(w)
+                sim.worms[pid] = w  # what _generate_packets would do
+                sim._wheel.wake(src)
+                pid += 1
+        sim.tracer = TraceRecorder(max_packets=1_000)
+        stats = sim.run()
+        events = tuple(
+            (t.pid, t.src, t.dst, tuple(t.events)) for t in sim.tracer
+        )
+        return events, stats.canonical_digest()
+
+    def test_per_worm_events_identical_across_engines(self):
+        topo = random_irregular_topology(16, 4, rng=3)
+        routing = build_down_up_routing(topo, rng=7)
+        cfg = _small_cfg()
+        ref = self._record(routing, cfg, "reference", topo.n)
+        assert any(
+            e[1] == "inject" for rec in ref[0] for e in rec[3]
+        ), "scenario never injected — not exercising the wheel at all"
+        got = self._record(routing, cfg, "fast", topo.n)
+        assert got == ref, (
+            "fast interleaved same-clock injections differently from "
+            "the reference event wheel"
+        )
+
+
+class TestEngineSelection:
+    @pytest.fixture(scope="class")
+    def routing(self):
+        topo = random_irregular_topology(16, 4, rng=3)
+        return build_down_up_routing(topo, rng=7)
+
+    def test_engine_name_reflects_resolution(self, routing, monkeypatch):
+        cfg = _small_cfg()
+        # the engine field is the only selector: unset means fast, and
+        # no environment variable can reroute it
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
+        assert cfg.resolved_engine == "fast"
+        assert WormholeSimulator(routing, cfg).engine_name == "fast"
+        for engine in ENGINES:
+            sim = WormholeSimulator(routing, cfg.with_engine(engine))
+            assert sim.engine_name == engine
+
+    @pytest.mark.parametrize("engine", ["warp-drive", "vectorized"])
+    def test_config_rejects_unknown_engine(self, engine):
+        with pytest.raises(ValueError, match="unknown engine") as err:
+            _small_cfg(engine=engine)
+        for name in ENGINES:
+            assert name in str(err.value)
+
+    def test_vc_engine_refuses_relaxed_engine(self, routing):
+        """The VC engine has no batched body phase: asking it for
+        ``batch`` raises instead of silently running the fast path."""
+        for engine in RELAXED_ENGINES:
+            with pytest.raises(ValueError, match="bit-exact engines"):
+                VirtualChannelSimulator(
+                    routing, _small_cfg().with_engine(engine), num_vcs=2
+                )
 
 
 class TestUnloadedEquivalence:

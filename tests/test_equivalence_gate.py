@@ -89,7 +89,7 @@ class TestNullCalibration:
         )
 
     def test_identical_data_always_passes(self):
-        """Bit-equal inputs (a fast-vs-vectorized style null) never fail."""
+        """Bit-equal inputs (a reference-vs-fast style null) never fail."""
         rng = np.random.default_rng(7)
         rows = _metric_rows(rng, 8)
         lats = _latency_samples(rng, 300)

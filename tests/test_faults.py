@@ -664,7 +664,7 @@ class TestRetryClockDomain:
         cfg = SimulationConfig(
             packet_length=16, injection_rate=0.0,
             warmup_clocks=0, measure_clocks=1, seed=0,
-            fast_path=fast,
+            engine="fast" if fast else "reference",
         )
         sim = WormholeSimulator(routing, cfg)
         sim.stats.active = True

@@ -17,11 +17,11 @@ precomputed tables:
   among taken routes would have to be a cycle of that graph.
 
 The hypothesis section below re-checks both properties over *random*
-(topology, algorithm, traffic) triples under the vectorized engine,
-and adds an engine shootout: for random scenarios, all three step
-engines must produce the identical per-worm delivery record — not just
-equal aggregates, but the same packets taking the same channels at the
-same clocks.
+(topology, algorithm, traffic) triples under the batch engine, and adds
+an engine shootout: for random scenarios, every bit-exact engine must
+produce the identical per-worm delivery record — not just equal
+aggregates, but the same packets taking the same channels at the same
+clocks.
 """
 
 import pytest
@@ -32,7 +32,11 @@ from repro.core.downup import build_down_up_routing
 from repro.routing.channel_graph import find_cycle
 from repro.routing.lturn import build_l_turn_routing
 from repro.routing.updown import build_up_down_routing
-from repro.simulator import SimulationConfig, WormholeSimulator
+from repro.simulator import (
+    BIT_EXACT_ENGINES,
+    SimulationConfig,
+    WormholeSimulator,
+)
 from repro.simulator.trace import TraceRecorder
 from repro.simulator.traffic import HotspotTraffic, UniformTraffic
 from repro.topology.generator import random_irregular_topology
@@ -115,7 +119,7 @@ class TestTakenRouteProperties:
 
 
 # ---------------------------------------------------------------------------
-# hypothesis campaigns: random triples, vectorized engine
+# hypothesis campaigns: random triples, batch engine
 # ---------------------------------------------------------------------------
 _PROPERTY_SETTINGS = settings(
     max_examples=8,
@@ -151,14 +155,14 @@ def _random_scenario(draw):
 
 
 class TestRandomTriplesVectorized:
-    """Route legality of random campaigns under ``engine: vectorized``."""
+    """Route legality of random campaigns under the numpy batch engine."""
 
     @_PROPERTY_SETTINGS
     @given(st.data())
     def test_turns_legal_and_taken_graph_acyclic(self, data):
         topo, routing, traffic, cfg = _random_scenario(data.draw)
         sim = WormholeSimulator(
-            routing, cfg.with_engine("vectorized"), traffic=traffic
+            routing, cfg.with_engine("batch"), traffic=traffic
         )
         sim.tracer = TraceRecorder(max_packets=50_000)
         sim.run()
@@ -168,8 +172,8 @@ class TestRandomTriplesVectorized:
 
 
 class TestEngineShootout:
-    """Random scenarios: all engines produce the identical per-worm
-    delivery record — same packets, same channels, same clocks."""
+    """Random scenarios: all bit-exact engines produce the identical
+    per-worm delivery record — same packets, same channels, same clocks."""
 
     @staticmethod
     def _delivery_record(routing, cfg, traffic, engine):
@@ -188,7 +192,7 @@ class TestEngineShootout:
     def test_identical_per_worm_records(self, data):
         _topo, routing, traffic, cfg = _random_scenario(data.draw)
         ref = self._delivery_record(routing, cfg, traffic, "reference")
-        for engine in ("fast", "vectorized"):
+        for engine in [e for e in BIT_EXACT_ENGINES if e != "reference"]:
             got = self._delivery_record(routing, cfg, traffic, engine)
             assert got == ref, f"{engine} diverged from the reference engine"
 
