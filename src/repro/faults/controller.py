@@ -89,38 +89,37 @@ def remap_routing(
         for ch in sub.channels
     ]
     n, m = full_topology.n, full_topology.num_channels
-    unreachable = RoutingFunction.UNREACHABLE
-    dist = np.full((n, m), unreachable, dtype=np.int32)
-    empty: Tuple[int, ...] = ()
-    next_hops: List[Tuple[Tuple[int, ...], ...]] = []
-    first_hops: List[Tuple[Tuple[int, ...], ...]] = []
-    for d_full in range(n):
-        nh_row: List[Tuple[int, ...]] = [empty] * m
-        fh_row: List[Tuple[int, ...]] = [empty] * n
-        next_hops.append(tuple(nh_row))
-        first_hops.append(tuple(fh_row))
-    next_hops_mut = [list(row) for row in next_hops]
-    first_hops_mut = [list(row) for row in first_hops]
+    dist = np.full((n, m), RoutingFunction.UNREACHABLE, dtype=np.int32)
+    dist[np.ix_(live, cmap)] = routing.dist
+
+    # candidate tuples are shared between rows, so each distinct one is
+    # translated once
+    lifted: Dict[Tuple[int, ...], Tuple[int, ...]] = {(): ()}
+
+    def lift(row: Tuple[Tuple[int, ...], ...], slots: List[int], width: int):
+        out: List[Tuple[int, ...]] = [()] * width
+        for slot, opts in zip(slots, row):
+            if opts:
+                full = lifted.get(opts)
+                if full is None:
+                    full = lifted[opts] = tuple([cmap[b] for b in opts])
+                out[slot] = full
+        return tuple(out)
+
+    dead_nh = ((),) * m
+    dead_fh = ((),) * n
+    next_hops = [dead_nh] * n
+    first_hops = [dead_fh] * n
     for d_sub, d_full in enumerate(live):
-        sub_dist = routing.dist[d_sub]
-        sub_nh = routing.next_hops[d_sub]
-        for c_sub, c_full in enumerate(cmap):
-            dist[d_full, c_full] = sub_dist[c_sub]
-            nh = sub_nh[c_sub]
-            if nh:
-                next_hops_mut[d_full][c_full] = tuple(cmap[b] for b in nh)
-        sub_fh = routing.first_hops[d_sub]
-        for s_sub, s_full in enumerate(live):
-            fh = sub_fh[s_sub]
-            if fh:
-                first_hops_mut[d_full][s_full] = tuple(cmap[b] for b in fh)
+        next_hops[d_full] = lift(routing.next_hops[d_sub], cmap, m)
+        first_hops[d_full] = lift(routing.first_hops[d_sub], live, n)
     return RoutingFunction(
         topology=full_topology,
         name=routing.name,
         turn_model=routing.turn_model,
         dist=dist,
-        next_hops=tuple(tuple(r) for r in next_hops_mut),
-        first_hops=tuple(tuple(r) for r in first_hops_mut),
+        next_hops=tuple(next_hops),
+        first_hops=tuple(first_hops),
         meta={**routing.meta, "remapped": True, "live_switches": tuple(live)},
     )
 
@@ -140,26 +139,20 @@ class ReconfigurationController:
     drain_clocks:
         Clocks the engine waits between the fault and the table swap,
         letting in-flight worms drain before stranded ones are ejected.
-    certify:
-        Emit a deadlock-freedom certificate for every rebuilt table and
-        re-validate it with the *independent* checker
-        (:mod:`repro.statics.check`) before the swap (default).  The
-        certificate's digest lands in ``meta["certificate_digest"]`` so
-        the fault runtime can log exactly which certified table it
-        installed.  Disable only in tight benchmark loops.
+
+    Every rebuilt table is certified: the controller emits a
+    deadlock-freedom certificate and re-validates it with the
+    *independent* checker (:mod:`repro.statics.check`) before the swap.
+    The certificate's digest lands in ``meta["certificate_digest"]`` so
+    the fault runtime can log exactly which certified table it
+    installed.
     """
 
-    def __init__(
-        self,
-        builder: RoutingBuilder,
-        drain_clocks: int = 64,
-        certify: bool = True,
-    ) -> None:
+    def __init__(self, builder: RoutingBuilder, drain_clocks: int = 64) -> None:
         if drain_clocks < 0:
             raise ValueError("drain_clocks must be >= 0")
         self.builder = builder
         self.drain_clocks = drain_clocks
-        self.certify = certify
 
     def rebuild(
         self,
@@ -168,32 +161,29 @@ class ReconfigurationController:
         dead_switches: Iterable[int],
         tag: str = "",
     ) -> RoutingFunction:
-        """A verified routing for the degraded *topology*, full-id space.
+        """A verified, certified routing for the degraded *topology*.
 
         Every rebuilt table passes through Theorem-1 verification
         (:func:`verify_routing`) *before* remapping — an unverified
-        table never reaches a running engine.  With ``certify`` a
-        deadlock-freedom certificate is additionally emitted on the
-        survivor routing and re-validated by the independent checker;
-        its digest is recorded in ``meta["certificate_digest"]``.
+        table never reaches a running engine.  A deadlock-freedom
+        certificate is then emitted on the survivor routing and
+        re-validated by the independent checker; its digest is recorded
+        in ``meta["certificate_digest"]``.  The result is in full-id
+        space.
         """
+        # imported lazily: repro.statics imports this module for the
+        # pre-flight sweep, so a top-level import would be circular
+        from repro.statics.certificates import certify_routing
+        from repro.statics.check import recheck
+
         sub, live = surviving_topology(topology, dead_links, dead_switches)
         routing = verify_routing(self.builder(sub))
-        cert_digest = ""
-        if self.certify:
-            # imported lazily: repro.statics imports this module for the
-            # pre-flight sweep, so a top-level import would be circular
-            from repro.statics.certificates import certify_routing
-            from repro.statics.check import recheck
-
-            bundle = certify_routing(routing)
-            recheck(bundle)
-            cert_digest = bundle.digest
+        bundle = certify_routing(routing)
+        recheck(bundle)
         remapped = remap_routing(routing, topology, live)
         remapped.meta["verified"] = True
-        if cert_digest:
-            remapped.meta["certificate_digest"] = cert_digest
-            remapped.meta["certificate_checked"] = True
+        remapped.meta["certificate_digest"] = bundle.digest
+        remapped.meta["certificate_checked"] = True
         if tag:
             remapped.meta["reconfiguration"] = tag
         return remapped

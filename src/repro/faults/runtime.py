@@ -77,8 +77,8 @@ class ReconfigurationRecord:
     ``certificate_digest`` / ``certificate_checked`` record the
     deadlock-freedom certificate the controller emitted for the
     installed table and whether the *independent* checker
-    (:mod:`repro.statics.check`) re-validated it — empty/False when the
-    controller ran with ``certify=False``.
+    (:mod:`repro.statics.check`) re-validated it.  The controller
+    certifies every rebuild, so every swap it performs sets both.
     """
 
     trigger_clock: int

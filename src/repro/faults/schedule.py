@@ -230,8 +230,10 @@ class FaultSchedule:
         Victims are chosen chronologically against the already-degraded
         survivor graph: candidate links exclude current bridges (Tarjan
         pass per event) and candidate switches are screened by BFS, so
-        the guard holds by construction.  Raises ``ValueError`` when
-        the topology cannot absorb the requested fault count.
+        the guard holds by construction.  A flap whose link loses an
+        endpoint switch before its UP edge has no UP edge: the link
+        stays dead with the switch.  Raises ``ValueError`` when the
+        topology cannot absorb the requested fault count.
         """
         gen = as_generator(rng)
         lo, hi = window
@@ -281,6 +283,15 @@ class FaultSchedule:
                 events.append(
                     FaultEvent(cycle=cycle, kind=SWITCH_DOWN, switch=victim)
                 )
+                # a flapping link that loses an endpoint stays dead with
+                # it: its pending UP edge is dropped.  Later draws see
+                # the same survivors either way (a dead switch takes its
+                # links with it), so the RNG stream is unchanged.
+                for up_cycle, link in [p for p in pending_ups if victim in p[1]]:
+                    pending_ups.remove((up_cycle, link))
+                    events.remove(
+                        FaultEvent(cycle=up_cycle, kind=LINK_UP, link=link)
+                    )
             else:
                 survivor = Topology(
                     topology.n,

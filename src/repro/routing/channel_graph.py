@@ -16,7 +16,10 @@ at a switch is unsafe iff ``e_in`` is already reachable from ``e_out``
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import compress
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.routing.base import TurnModel
 from repro.topology.graph import Topology
@@ -151,10 +154,11 @@ def shortest_path_dags(
     the set of channels sinking at *dest* (all hops cost 1 clockless hop,
     so plain BFS yields exact distances).
 
-    The dependency graph does not depend on *dest*; callers building
-    tables for every destination pass a precomputed *adj* (and
-    optionally its *radj* reversal) so classification runs once per
-    turn model instead of once per destination.
+    The dependency graph does not depend on *dest*; callers asking for
+    several destinations pass a precomputed *adj* (and optionally its
+    *radj* reversal) so classification runs once per turn model.  The
+    routing tables themselves come from :func:`shortest_path_tables`,
+    which tests hold to this function as the reference.
     """
     topo = turn_model.topology
     n_ch = topo.num_channels
@@ -166,7 +170,7 @@ def shortest_path_dags(
         radj = reverse_adjacency(adj)
 
     dist = [UNREACH] * n_ch
-    frontier = [c for c in range(n_ch) if topo.channel(c).sink == dest]
+    frontier = list(topo.input_channels(dest))
     for c in frontier:
         dist[c] = 0
     level = 0
@@ -186,7 +190,7 @@ def shortest_path_dags(
             next_hops.append(())
             continue
         want = dist[a] - 1
-        next_hops.append(tuple(b for b in adj[a] if dist[b] == want))
+        next_hops.append(tuple([b for b in adj[a] if dist[b] == want]))
 
     first_hops: List[Tuple[int, ...]] = []
     for s in range(topo.n):
@@ -198,6 +202,122 @@ def shortest_path_dags(
         if not finite:
             first_hops.append(())
             continue
-        best = min(dist[c] for c in finite)
-        first_hops.append(tuple(c for c in finite if dist[c] == best))
+        best = min([dist[c] for c in finite])
+        first_hops.append(tuple([c for c in finite if dist[c] == best]))
     return dist, next_hops, first_hops
+
+
+#: candidate tuples indexed ``[dest][channel]`` (or ``[dest][switch]``)
+CandidateTable = Tuple[Tuple[Tuple[int, ...], ...], ...]
+
+#: largest (owner, subset) key space deduplicated through a dense table
+#: (8 ports at 128 switches need 2**17)
+_DENSE_KEYS = 1 << 20
+
+
+def _candidate_rows(
+    members: Sequence[Sequence[int]],
+    width: int,
+    selected: Iterable[np.ndarray],
+) -> CandidateTable:
+    """Candidate tuples ``rows[dest][owner]`` read off bit masks.
+
+    ``selected`` yields one ``(owner, dest)`` boolean array per member
+    slot ``t < width``; entry ``rows[dest][owner]`` holds the
+    ``members[owner][t]`` whose slot is selected, in member order.
+    Each (owner, subset) pair becomes one integer key, every distinct
+    key is decoded once, and rows share the decoded tuples.
+    """
+    owners = len(members)
+    # keys must fit in int64; only very high port counts need objects
+    dtype = np.int64 if owners.bit_length() + width < 63 else object
+    keys = np.arange(owners).astype(dtype)[:, None] << width
+    for t, column in enumerate(selected):
+        keys = keys | (column.astype(dtype) << t)
+    if owners << width <= _DENSE_KEYS:
+        # a table over the whole key space: no sort, so numpy's sort
+        # kernels (about half a megabyte of resident code) stay unloaded
+        seen = np.zeros(owners << width, dtype=bool)
+        seen[keys] = True
+        uniq = np.flatnonzero(seen)
+        inverse = (np.cumsum(seen) - 1)[keys.T]
+    else:  # high port counts leave the key space too sparse for a table
+        uniq, inverse = np.unique(keys.T, return_inverse=True)
+        inverse = inverse.reshape(keys.shape[1], owners)
+    low = (1 << width) - 1
+    selectors: Dict[int, List[int]] = {}
+    decoded = np.empty(len(uniq), dtype=object)
+    for i, key in enumerate(uniq.tolist()):
+        mask = key & low
+        sel = selectors.get(mask)
+        if sel is None:
+            sel = selectors[mask] = [mask >> t & 1 for t in range(width)]
+        decoded[i] = tuple(compress(members[key >> width], sel))
+    # gathering the tuple references in numpy keeps the row assembly
+    # free of per-entry Python integers
+    return tuple(map(tuple, decoded[inverse].tolist()))
+
+
+def shortest_path_tables(
+    turn_model: TurnModel,
+) -> Tuple[np.ndarray, CandidateTable, CandidateTable]:
+    """:func:`shortest_path_dags` for every destination at once.
+
+    Returns ``(dist, next_hops, first_hops)`` with ``dist`` an
+    ``(n, num_channels)`` int32 array and the candidate tables indexed
+    ``[dest][channel]`` / ``[dest][switch]``; every entry equals what
+    :func:`shortest_path_dags` returns for that destination.  One array
+    BFS advances all destinations a level at a time, and candidate sets
+    are read off as bit masks over each channel's (switch's) outputs.
+    """
+    topo = turn_model.topology
+    n, n_ch = topo.n, topo.num_channels
+    UNREACH = 2**31 - 1
+    adj = dependency_adjacency(turn_model)
+
+    # channel-major: dist[c, d]; row n_ch is a never-reached sentinel
+    # that pads the successor rows of low-degree channels
+    width = max([1] + [len(outs) for outs in adj])
+    succ = np.full((n_ch, width), n_ch, dtype=np.intp)
+    for a, outs in enumerate(adj):
+        succ[a, : len(outs)] = outs
+    sink = [ch.sink for ch in topo.channels]
+    dist = np.full((n_ch + 1, n), UNREACH, dtype=np.int32)
+    dist[np.arange(n_ch), sink] = 0
+
+    frontier = dist == 0
+    unseen = dist[:n_ch] == UNREACH
+    level = 0
+    while frontier.any():
+        level += 1
+        hit = frontier[succ[:, 0]]
+        for t in range(1, width):
+            hit |= frontier[succ[:, t]]
+        hit &= unseen
+        unseen &= ~hit
+        frontier[:n_ch] = hit
+        dist[:n_ch][hit] = level
+
+    # next hops: the successors one hop closer (the sentinel never
+    # matches, and nothing sits at want = -1 or UNREACH - 1)
+    want = dist[:n_ch] - 1
+    next_hops = _candidate_rows(
+        adj, width, (dist[succ[:, t]] == want for t in range(width))
+    )
+
+    # first hops: the minimal reachable outputs of each source switch
+    outs = [topo.output_channels(s) for s in range(n)]
+    out_width = max([1] + [len(o) for o in outs])
+    out_pad = np.full((n, out_width), n_ch, dtype=np.intp)
+    for s, o in enumerate(outs):
+        out_pad[s, : len(o)] = o
+    d_out = dist[out_pad]  # (source, port, dest)
+    best = d_out.min(axis=1)
+    routable = (best != UNREACH) & ~np.eye(n, dtype=bool)
+    first_hops = _candidate_rows(
+        outs,
+        out_width,
+        ((d_out[:, t] == best) & routable for t in range(out_width)),
+    )
+
+    return np.ascontiguousarray(dist[:n_ch].T), next_hops, first_hops

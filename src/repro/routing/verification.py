@@ -155,13 +155,13 @@ def assert_progress(routing: RoutingFunction) -> None:
     rules out livelock for the adaptive simulator.  The exception's
     ``stranded`` dict identifies the offending state.
     """
-    dist = routing.dist
-    for d in range(routing.topology.n):
+    unreachable = RoutingFunction.UNREACHABLE
+    for d, dist_row in enumerate(routing.dist):
+        row = dist_row.tolist()
         nh = routing.next_hops[d]
-        row = dist[d]
         for c, opts in enumerate(nh):
-            rem = int(row[c])
-            if rem in (0, RoutingFunction.UNREACHABLE):
+            rem = row[c]
+            if rem == 0 or rem == unreachable:
                 continue
             if not opts:
                 raise VerificationError(
@@ -172,10 +172,10 @@ def assert_progress(routing: RoutingFunction) -> None:
                     stranded={"dest": d, "channel": c, "remaining": rem},
                 )
             for b in opts:
-                if int(row[b]) != rem - 1:
+                if row[b] != rem - 1:
                     raise VerificationError(
                         f"{routing.name}: dest {d}, hop {c}->{b} does not "
-                        f"decrease distance ({rem} -> {int(row[b])})",
+                        f"decrease distance ({rem} -> {row[b]})",
                         routing_name=routing.name,
                         kind="no-progress",
                         stranded={
@@ -183,7 +183,7 @@ def assert_progress(routing: RoutingFunction) -> None:
                             "channel": c,
                             "remaining": rem,
                             "candidate": int(b),
-                            "candidate_remaining": int(row[b]),
+                            "candidate_remaining": row[b],
                         },
                     )
 

@@ -42,7 +42,11 @@ CERT_FORMAT = "repro-cert-v1"
 def compute_digest(payload: Mapping[str, object]) -> str:
     """SHA-256 over the canonical JSON of *payload* (digest key excluded)."""
     body = {k: v for k, v in payload.items() if k != "digest"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    # check_circular only guards against self-referencing containers,
+    # which a payload never holds; skipping it leaves the bytes as they are
+    canonical = json.dumps(
+        body, sort_keys=True, separators=(",", ":"), check_circular=False
+    )
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -224,6 +228,7 @@ def _topological_order(adj: List[List[int]]) -> Optional[List[int]]:
 def _witness_suffix(
     routing: RoutingFunction,
     dest: int,
+    dist_row: List[int],
     first: int,
     memo: Dict[int, Tuple[int, ...]],
 ) -> Tuple[int, ...]:
@@ -234,14 +239,14 @@ def _witness_suffix(
     shares the same tail.  *memo* caches one suffix tuple per channel
     per destination: each channel's continuation is resolved once and
     the shared tuples are reused across all ``O(n)`` sources, instead
-    of re-walking the table for every ordered pair.
+    of re-walking the table for every ordered pair.  *dist_row* is
+    ``routing.dist[dest]`` as a list.
     """
-    dist = routing.dist[dest]
     nh = routing.next_hops[dest]
     chain = []
     c = first
     while c not in memo:
-        if int(dist[c]) <= 0:
+        if dist_row[c] <= 0:
             memo[c] = (c,)
             break
         nxt = nh[c]
@@ -258,20 +263,6 @@ def _witness_suffix(
     for c in reversed(chain):
         memo[c] = (c,) + memo[nh[c][0]]
     return memo[first]
-
-
-def _witness_path(routing: RoutingFunction, src: int, dest: int) -> Tuple[int, ...]:
-    """A concrete admissible path ``src -> dest``, read off the tables."""
-    opts = routing.first_hops[dest][src]
-    if not opts:
-        raise VerificationError(
-            f"{routing.name}: cannot certify connectivity — no admissible "
-            f"path {src}->{dest}",
-            routing_name=routing.name,
-            kind="unroutable",
-            unroutable=[(src, dest)],
-        )
-    return _witness_suffix(routing, dest, opts[0], {})
 
 
 def certify_routing(
@@ -296,9 +287,15 @@ def certify_routing(
             kind="cycle",
         )
 
+    unreachable = int(RoutingFunction.UNREACHABLE)
+    # row by row: one tolist() of the whole table holds a second copy of
+    # every entry at once, which raised peak memory measurably
+    dist_rows = tuple(tuple(row.tolist()) for row in routing.dist)
+
     witnesses = []
     for d in range(topo.n):
         suffixes: Dict[int, Tuple[int, ...]] = {}
+        row = dist_rows[d]
         fh = routing.first_hops[d]
         for s in range(topo.n):
             if s == d:
@@ -312,18 +309,14 @@ def certify_routing(
                     kind="unroutable",
                     unroutable=[(s, d)],
                 )
-            witnesses.append((s, d, _witness_suffix(routing, d, opts[0], suffixes)))
+            witnesses.append(
+                (s, d, _witness_suffix(routing, d, row, opts[0], suffixes))
+            )
 
-    unreachable = int(RoutingFunction.UNREACHABLE)
-    dist_rows = tuple(
-        tuple(int(x) for x in routing.dist[d]) for d in range(topo.n)
-    )
     hop_witnesses = []
-    for d in range(topo.n):
-        row = dist_rows[d]
+    for d, row in enumerate(dist_rows):
         nh = routing.next_hops[d]
-        for c in range(topo.num_channels):
-            rem = row[c]
+        for c, rem in enumerate(row):
             if 0 < rem < unreachable:
                 if not nh[c]:
                     raise VerificationError(
@@ -339,7 +332,7 @@ def certify_routing(
         algorithm=algorithm if algorithm is not None else routing.name,
         n=topo.n,
         links=tuple(topo.links),
-        channel_class=tuple(int(c) for c in tm.channel_class),
+        channel_class=tuple(tm.channel_class.tolist()),
         class_names=tuple(tm.class_names),
         base_allowed=tuple(
             tuple(bool(x) for x in row) for row in tm.base_matrix

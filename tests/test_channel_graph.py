@@ -10,6 +10,7 @@ from repro.routing.channel_graph import (
     find_turn_cycle,
     reachable,
     shortest_path_dags,
+    shortest_path_tables,
     would_close_cycle,
 )
 from repro.topology.graph import Topology
@@ -140,3 +141,51 @@ class TestShortestPaths:
         free_len = 1 + min(free_dist[c] for c in free_fh[0])
         # up*/down* on a ring cannot be shorter than unrestricted
         assert all(fh[s] for s in range(6) if s != 3)  # still connected
+
+
+def _tables_match_reference(tm):
+    dist, next_hops, first_hops = shortest_path_tables(tm)
+    n, n_ch = tm.topology.n, tm.topology.num_channels
+    assert dist.dtype == np.int32 and dist.shape == (n, n_ch)
+    for d in range(n):
+        ref_dist, ref_nh, ref_fh = shortest_path_dags(tm, d)
+        assert dist[d].tolist() == ref_dist
+        assert next_hops[d] == tuple(ref_nh)
+        assert first_hops[d] == tuple(ref_fh)
+
+
+class TestAllDestinationTables:
+    """The array BFS over every destination against the per-destination
+    loop, which stays the reference."""
+
+    def test_irregular_under_each_paper_turn_model(self, medium_irregular):
+        from repro.core.downup import build_down_up_routing
+        from repro.routing.lturn import build_l_turn_routing
+        from repro.routing.updown import build_up_down_routing
+
+        for build in (build_down_up_routing, build_l_turn_routing, build_up_down_routing):
+            _tables_match_reference(build(medium_irregular).turn_model)
+
+    def test_unreachable_states_and_restricted_ring(self, line3, ring6):
+        tm = unrestricted(line3)
+        tm.set_turn(1, 0, 0, False)
+        _tables_match_reference(tm)
+        cls = [
+            0 if ring6.channel(c).sink < ring6.channel(c).start else 1
+            for c in range(ring6.num_channels)
+        ]
+        _tables_match_reference(restricted(ring6, cls, [[True, True], [False, True]]))
+
+    def test_high_degree_switch(self):
+        # 69 ports at the hub: candidate masks no longer fit in int64
+        from repro.topology.zoo import star
+
+        _tables_match_reference(unrestricted(star(70)))
+
+    def test_single_switch(self):
+        dist, next_hops, first_hops = shortest_path_tables(
+            unrestricted(Topology(1, []))
+        )
+        assert dist.shape == (1, 0)
+        assert next_hops == ((),)
+        assert first_hops == (((),),)

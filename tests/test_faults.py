@@ -171,6 +171,32 @@ class TestRandomSchedule:
         )
         assert len(sched) == 3
 
+    FLAP_AND_SWITCH = dict(
+        permanent_links=0, link_flaps=1, switch_failures=1, window=(0, 1_000)
+    )
+
+    def test_flap_on_dying_switch_stays_down(self):
+        """A switch failure inside a flap kills the flapping link for
+        good: the UP edge is dropped instead of failing validation."""
+        topo = random_irregular_topology(n=16, ports=4, rng=1)
+        for seed in range(200):
+            FaultSchedule.random(topo, rng=seed, **self.FLAP_AND_SWITCH)
+        sched = FaultSchedule.random(topo, rng=18, **self.FLAP_AND_SWITCH)
+        assert [(e.cycle, e.kind, e.link, e.switch) for e in sched] == [
+            (399, "link_down", (5, 14), None),
+            (893, "switch_down", None, 14),
+        ]
+
+    def test_valid_draw_is_unchanged(self):
+        # recorded before flaps on dying switches lost their UP edge
+        topo = random_irregular_topology(n=16, ports=4, rng=1)
+        sched = FaultSchedule.random(topo, rng=0, **self.FLAP_AND_SWITCH)
+        assert [(e.cycle, e.kind, e.link, e.switch) for e in sched] == [
+            (636, "link_down", (2, 7), None),
+            (850, "switch_down", None, 4),
+            (1636, "link_up", (2, 7), None),
+        ]
+
     def test_impossible_request_raises(self, line3):
         with pytest.raises(ValueError, match="partition"):
             FaultSchedule.random(line3, permanent_links=1, rng=0)

@@ -129,6 +129,27 @@ class TestPostFault:
         assert cert.digest != healthy.digest
 
 
+#: certificate digests on ``random_irregular_topology(32, 4, rng=3)``,
+#: recorded before the table builder, certifier and checker were
+#: rewritten for speed; any change to the emitted bytes moves them
+PINNED_DIGESTS_32 = {
+    "down-up": "sha256:dea4d6832940d31d64aeccea81acfad9f71615f44f0acffb96fca6d23e82cffe",
+    "l-turn": "sha256:3927d0a28ecf48e56ca293372f9f9fe7c6e77ea0f8cc4a15e521ba6bafb5af33",
+    "up-down": "sha256:3bd96537ac9458218f2399355cba01c361cd4597eb7cb56250d9f35cc7f9ce2a",
+}
+
+
+class TestPinnedBytes:
+    @pytest.fixture(scope="class")
+    def topo32(self):
+        return random_irregular_topology(32, 4, rng=3)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS_32))
+    def test_digest_is_pinned(self, topo32, name):
+        cert = certify_routing(BUILDERS[name](topo32))
+        assert cert.digest == PINNED_DIGESTS_32[name]
+
+
 class TestUncertifiable:
     def test_unroutable_routing_refused(self, line3):
         import numpy as np

@@ -144,8 +144,84 @@ class TestConnectivityCorruptions:
         )
         assert not check_certificate(bad).ok
 
+    @pytest.mark.parametrize("channel", [-1, "past-the-end"])
+    def test_unknown_channel_in_witness_rejected(self, cert, channel):
+        s, d, path = cert.connectivity.witnesses[0]
+        if channel == "past-the-end":
+            channel = 2 * len(cert.links)
+        witnesses = ((s, d, path + (channel,)),) + cert.connectivity.witnesses[1:]
+        bad = restamp(
+            replace(
+                cert,
+                connectivity=replace(cert.connectivity, witnesses=witnesses),
+            )
+        )
+        report = check_certificate(bad)
+        assert [f.message for f in report.failures] == [
+            f"witness for {(s, d)} uses an unknown channel"
+        ]
+        assert report.failures[0].code == "connectivity"
+
+
+def channel_ends(cert):
+    """``(start, sink)`` lists per channel, from the bundle's link list."""
+    start, sink = [], []
+    for u, v in cert.links:
+        start += [u, v]
+        sink += [v, u]
+    return start, sink
+
+
+def with_hop_witness(cert, index, hop):
+    witnesses = list(cert.progress.witnesses)
+    witnesses[index] = hop
+    return restamp(
+        replace(cert, progress=replace(cert.progress, witnesses=tuple(witnesses)))
+    )
+
 
 class TestProgressCorruptions:
+    def test_hop_witness_outside_the_channels_rejected(self, cert):
+        d, c, _b = cert.progress.witnesses[0]
+        num_channels = 2 * len(cert.links)
+        report = check_certificate(
+            with_hop_witness(cert, 0, (d, c, num_channels))
+        )
+        assert [(f.code, f.message) for f in report.failures] == [
+            (
+                "progress",
+                f"witness hop {num_channels} for dest {d}, channel {c} is "
+                f"not a channel",
+            )
+        ]
+
+    def test_hop_witness_through_prohibited_turn_rejected(self, cert):
+        """A hop that meets the channel, leads one step closer, and is
+        prohibited by the turn model fails on the turn alone."""
+        start, sink = channel_ends(cert)
+        pair_exceptions = set(cert.pair_exceptions)
+        for i, (d, c, _b) in enumerate(cert.progress.witnesses):
+            row = cert.progress.dist[d]
+            matrix = cert.node_overrides.get(sink[c], cert.base_allowed)
+            for b in range(len(start)):
+                if (
+                    start[b] == sink[c]
+                    and b != (c ^ 1)
+                    and (c, b) not in pair_exceptions
+                    and not matrix[cert.channel_class[c]][cert.channel_class[b]]
+                    and row[b] == row[c] - 1
+                ):
+                    report = check_certificate(with_hop_witness(cert, i, (d, c, b)))
+                    assert [(f.code, f.message) for f in report.failures] == [
+                        (
+                            "progress",
+                            f"witness hop {c}->{b} for dest {d} crosses a "
+                            f"prohibited turn",
+                        )
+                    ]
+                    return
+        raise AssertionError("no prohibited shortest hop in the fixture")
+
     def test_missing_hop_witness_rejected(self, cert):
         bad = restamp(
             replace(

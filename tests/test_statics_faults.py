@@ -31,12 +31,19 @@ class TestControllerCertifies:
         assert remapped.meta["certificate_digest"].startswith("sha256:")
         assert remapped.meta["certificate_checked"] is True
 
-    def test_certification_can_be_disabled(self, topo16):
+    def test_rebuild_digest_is_pinned(self):
+        """A dead link plus a dead switch on a fixed 32-switch network;
+        the digest was recorded before the rebuild path was optimised."""
+        topo = random_irregular_topology(32, 4, rng=3)
         ctrl = ReconfigurationController(
-            lambda sub: build_down_up_routing(sub, rng=7), certify=False
+            lambda sub: build_down_up_routing(sub, rng=7)
         )
-        remapped = ctrl.rebuild(topo16, [topo16.links[0]], [], tag="t1")
-        assert "certificate_digest" not in remapped.meta
+        remapped = ctrl.rebuild(topo, [topo.links[0]], [5], tag="pin")
+        assert remapped.meta["certificate_digest"] == (
+            "sha256:f921fdd728e9f836f287d36e345bbcbd"
+            "827b8e531dd484edc31c49b1d7289b93"
+        )
+        assert remapped.meta["certificate_checked"] is True
 
     def test_distinct_fault_states_get_distinct_digests(self, topo16):
         ctrl = ReconfigurationController(
