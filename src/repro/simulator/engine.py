@@ -29,6 +29,9 @@ cycle *will* deadlock, which the watchdog turns into a loud
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
+from operator import itemgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -138,13 +141,27 @@ class WormholeSimulator:
         #: reads occupancy mid-arbitration (least-congested does)
         self._occ_write = config.selection_policy != "least-congested"
         #: the live list: active worms not known-quiet, i.e. the only
-        #: ones the body-plan scan must visit (fast path)
+        #: ones the body-move scan must visit (fast path)
         self._live: List[Worm] = []
-        #: memoized in-network header-request list and the last clock
-        #: of its dirty window (fast path); reused verbatim on clean
-        #: clocks since nothing that feeds it changed
-        self._req_cache: Optional[List[tuple]] = None
-        self._req_dirty_until = -1
+        # -- fast-path arbitration state (see _move_fast); kept
+        # incrementally, rebuilt from scratch by _rebuild_arbitration
+        # on the fault / epoch path whenever _arb_stale is set
+        #: in-network header requests in active order, parked or not
+        self._reqs: List[tuple] = []
+        #: the requesting worms' ``seq`` keys, parallel to ``_reqs``
+        self._req_keys: List[int] = []
+        #: (due clock, worm) for granted headers inside their routing
+        #: delay; appends are due ``clock + _hdr_latency``, so FIFO order
+        #: is due order
+        self._ripening: Deque[Tuple[int, Worm]] = deque()
+        #: unparked in-network requests: arbitration visits only these
+        #: (plus the pending injection sources)
+        self._hot: List[tuple] = []
+        #: per-resource waiter lists — channels [0, C), consumption
+        #: ports [C, C + n) — of the requests parked on that resource
+        self._waiters: List[List[tuple]] = []
+        self._next_seq = 0
+        self._arb_stale = True
         #: which step implementation runs ("reference" / "fast" /
         #: "batch"); resolved once — engine selection is per-run
         self.engine_name = config.resolved_engine
@@ -189,15 +206,13 @@ class WormholeSimulator:
     def _drop_worm_memos(self) -> None:
         """Clear every memoized header request (epoch change).
 
-        Clearing eagerly at the (rare) invalidation point lets the
-        per-clock loop test only ``hdr_req is not None`` instead of
-        comparing epochs per worm per clock.  The cached request list
-        is dropped with the memos it holds.
+        Candidate sets may have changed, so every parked request and
+        the request list holding them are rebuilt before the next fast
+        clock (:meth:`_rebuild_arbitration`).
         """
         for w in self.active:
             w.hdr_req = None
-        self._req_cache = None
-        self._req_dirty_until = self.clock + self._hdr_latency
+        self._arb_stale = True
 
     def _wake_worm(self, w: Worm) -> None:
         """Put *w* back on the live list after an external mutation."""
@@ -227,7 +242,12 @@ class WormholeSimulator:
         return self.stats.finalize(queue_backlog=backlog, reconfigurations=reconfigs)
 
     def enable_invariant_checks(self) -> None:
-        """Verify flit conservation for every worm each clock (tests)."""
+        """Verify flit conservation for every worm each clock (tests).
+
+        Under the fast engine this also checks the arbitration state:
+        every parked request has all its resources busy and is on each
+        one's waiter list (:meth:`_check_parking`).
+        """
         self._check_invariants = True
 
     def attach_faults(self, runtime) -> None:
@@ -268,6 +288,8 @@ class WormholeSimulator:
         if self._check_invariants:
             for w in self.active:
                 w.check_invariant()
+            if self.engine_name == "fast":
+                self._check_parking()
         self.clock += 1
 
     # ------------------------------------------------------------------
@@ -464,76 +486,143 @@ class WormholeSimulator:
         """One clock of flit movement — the fast-path implementation.
 
         Byte-identical to :meth:`_move_bodies_and_heads` for any fixed
-        seed (same plans, same grants, same RNG draws in the same
-        order), but organised around the active set:
+        seed (same moves, same grants, same RNG draws in the same
+        order), but its Python work scales with events — grants,
+        releases and headers whose routing delay just ended — instead
+        of with the number of blocked headers:
 
-        * worms whose body provably cannot move are parked (their
-          ``quiet`` flag) and only the live list — the non-quiet worms —
-          is scanned for body plans: a worm's buffer state only changes
-          through its own moves, so "no body plan this clock and no
-          grant" implies "no body plan next clock".  Plan *order* is
-          free to differ from the reference because every plan commit
-          touches only its own worm's state plus commutative ``+=``
-          counters;
-        * header-request *order* is not free (the arbitration RNG
-          permutes list indices), so the in-network request list is
-          rebuilt in active order — but only on dirty clocks.  Grants,
-          header ripening (a granted header re-requests after its
-          routing delay), fault mutations and epoch swaps mark a dirty
-          window; on the other clocks the previous list is reused
-          as-is.  Each blocked worm's request tuple is additionally
-          memoized on the worm (``hdr_req``) so dirty rebuilds are
-          appends, not re-evaluations;
-        * idle sources live on the injection event wheel instead of
-          being rescanned: a source is parked while its front header
-          is inside its routing delay (woken by an engine-clock timer)
-          or while its injection port is busy (woken when the credit
-          returns), and any queue mutation wakes it;
+        * **body moves in place.**  Worms whose body provably cannot
+          move are parked (their ``quiet`` flag) and only the live list
+          is scanned: a worm's buffer state only changes through its
+          own moves, so "no body move this clock and no grant" implies
+          "no body move next clock" (a drain truncation wakes the worm
+          it cuts, and an empty tail it leaves keeps the worm live
+          until phase 4 releases it).  Each scanned worm's moves are
+          applied during the scan, decided from start-of-clock counts
+          (the previous channel's count is carried, not re-read).  A
+          consuming worm still feeding with one flit in every channel
+          (most live worms at saturation) moves every flit and keeps
+          its counts, so only its counters are updated.
+          Arbitration reads no flit counts, and every grant commit is
+          an additive update, so committing grants afterwards gives
+          the reference's state.  Only the injection port of a worm
+          that fed its last flit is freed after arbitration, as in the
+          reference;
+        * **incremental request list.**  The arbitration RNG permutes
+          request *indices*, so the in-network requests are kept in
+          active order (``_reqs``, keyed by each worm's ``seq``).  A
+          granted header leaves the list and waits on the ``_ripening``
+          FIFO until its routing delay ends, then is inserted in order;
+        * **parked requests.**  After arbitration, a request that was
+          not granted has every resource busy — its candidate channels,
+          or its destination's consumption port — and goes onto those
+          resources' waiter lists.  Until phase 4 (or a fault hook)
+          releases one of them it can neither be granted nor draw RNG
+          in the reference, so it is skipped: the permutation is still
+          drawn over the full request count, and only the unparked
+          requests are visited, in permutation order.  Injection
+          sources block the same way on their first-hop channels
+          (:meth:`InjectionWheel.block`); the other idle sources live on
+          the injection event wheel (parked on a routing-delay timer or
+          a busy injection port, woken by any queue mutation);
         * routing candidates come from the per-epoch decision cache
-          (flat rows with dead channels pre-filtered), invalidated
-          atomically at table swaps and dead-channel changes;
+          (flat rows with dead channels pre-filtered).  Table swaps,
+          dead-channel changes and fault hooks set ``_arb_stale``, and
+          the next clock rebuilds all arbitration state from scratch
+          (:meth:`_rebuild_arbitration`);
         * measurement counters are incremented inline on the
           collector's plain-list counters.
         """
+        if self._arb_stale:
+            self._rebuild_arbitration()
         cap = self._cap
         stats = self.stats
         clock = self.clock
         occ = self.channel_occ
-        sink = self._sink
         active = self.active
         rec = stats.active
         ch_flits = stats.channel_flits
         consumed_flits = stats.consumed_flits
         injected_flits = stats.injected_flits
         tracer = self.tracer
+        wheel = self._wheel
 
-        # -- phase 1: body plans over the live (non-quiet) list --------
-        # kinds: 0 = consume, 1 = advance, 2 = feed.  Worms that go
-        # quiet (or retired: finished/dropped worms are marked quiet)
-        # are evicted by not re-appending them; grants and fault wakes
-        # re-add worms via ``_wake_worm`` / the commit loop below.
-        body_plans: List[Tuple[Worm, int, int]] = []
-        plans_append = body_plans.append
+        # -- phase 1: body moves over the live (non-quiet) list --------
+        # Worms that go quiet (or retired: finished/dropped worms are
+        # marked quiet) are evicted by not re-appending them; grants
+        # and fault wakes re-add worms via ``_wake_worm`` / the commit
+        # loop below.
         new_live: List[Worm] = []
         live_append = new_live.append
+        freed_src: List[int] = []
+        moves = 0
         visited = 0
+        stream_ok = cap > 1  # a full 1-flit buffer blocks its upstream
         for w in self._live:
             if w.quiet:
                 continue
             visited += 1
             cf = w.chain_flits
-            moved = False
-            if w.consuming and cf and cf[0] > 0:
-                plans_append((w, 0, 0))
-                moved = True
-            for i in range(len(cf) - 1):
-                if cf[i + 1] > 0 and cf[i] < cap:
-                    plans_append((w, 1, i))
-                    moved = True
-            if w.flits_at_source > 0 and cf and cf[-1] < cap:
-                plans_append((w, 2, len(cf) - 1))
-                moved = True
-            if moved:
+            if not cf:
+                w.quiet = True
+                continue
+            if (
+                stream_ok
+                and w.consuming
+                and w.flits_at_source > 0
+                and cf.count(1) == len(cf)
+            ):
+                # a steady stream (one flit per channel, consumed at the
+                # head, fed at the tail): every flit moves one channel
+                # and the counts come out unchanged
+                w.consumed += 1
+                w.flits_at_source -= 1
+                moves += 1
+                if rec:
+                    consumed_flits[w.dst] += 1
+                    injected_flits[w.src] += 1
+                    for c in w.chain:
+                        ch_flits[c] += 1
+                if w.flits_at_source == 0:
+                    freed_src.append(w.src)
+                live_append(w)
+                continue
+            before = moves
+            cur = cf[0]  # start-of-clock count of channel i
+            if w.consuming and cur > 0:
+                cf[0] = cur - 1
+                w.consumed += 1
+                moves += 1
+                if rec:
+                    consumed_flits[w.dst] += 1
+            last = len(cf) - 1
+            if last:
+                chain = w.chain
+                for i in range(last):
+                    nxt = cf[i + 1]
+                    if nxt > 0 and cur < cap:
+                        cf[i + 1] = nxt - 1
+                        cf[i] += 1
+                        moves += 1
+                        if rec:
+                            ch_flits[chain[i]] += 1
+                    cur = nxt
+            if w.flits_at_source > 0 and cur < cap:
+                # feed from source into the tail channel
+                cf[last] += 1
+                w.flits_at_source -= 1
+                moves += 1
+                if rec:
+                    injected_flits[w.src] += 1
+                    ch_flits[w.chain[last]] += 1
+                if w.flits_at_source == 0:
+                    freed_src.append(w.src)
+            if moves != before:
+                live_append(w)
+            elif w.flits_at_source == 0 and cf[-1] == 0:
+                # only a drain truncation leaves an empty tail channel
+                # (or a fully drained fragment) at the start of a clock:
+                # phase 4 must release it even though nothing moved
                 live_append(w)
             else:
                 # nothing can move until this worm's next grant
@@ -543,47 +632,26 @@ class WormholeSimulator:
             stats.on_sched(visited, len(active))
 
         # -- phase 2: header requests on start-of-clock occupancy ------
-        # The in-network list is reused verbatim outside the dirty
-        # window (nothing that feeds it changed); the injection portion
-        # depends on queues/credits and is collected fresh each clock.
         cache = self.decision_cache
-        in_net = self._req_cache
-        if in_net is None or clock <= self._req_dirty_until:
-            next_rows = cache._next_rows
-            in_net = []
-            req_append = in_net.append
-            for w in active:
-                req = w.hdr_req
-                if req is not None:
-                    req_append(req)
-                    continue
-                if w.consuming or not w.chain or w.head_ready_at > clock:
-                    continue
-                head = w.chain[0]
-                dst = w.dst
-                if sink[head] == dst:
-                    req = (w, None, ())  # consumption request
-                else:
-                    row = next_rows[dst]
-                    if row is None:
-                        row = cache.next_row(dst)
-                    cands = row[head]
-                    # memoize a lone candidate as the bare channel id:
-                    # the arbitration discriminates on the type instead
-                    # of measuring the tuple every clock
-                    if len(cands) == 1:
-                        cands = cands[0]
-                    req = (w, head, cands)
-                w.hdr_req = req
-                req_append(req)
-            self._req_cache = in_net
+        reqs = self._reqs
+        keys = self._req_keys
+        hot = self._hot
+        ripening = self._ripening
+        if ripening and ripening[0][0] <= clock:
+            # routing delays that ended: insert in active order
+            while ripening and ripening[0][0] <= clock:
+                w = ripening.popleft()[1]
+                req = self._header_request(w)
+                i = bisect_left(keys, w.seq)
+                keys.insert(i, w.seq)
+                reqs.insert(i, req)
+                hot.append(req)
         # injection requests from the event wheel, in ascending source
         # order (matching the reference's full enumerate scan)
-        wheel = self._wheel
         timers = wheel._timers
         if timers and timers[0][0] <= clock:
             wheel.advance(clock)
-        inj_reqs: List[Tuple[Worm, int, Tuple[int, ...]]] = []
+        inj_reqs: List[tuple] = []
         if wheel.pending:
             first_rows = cache._first_rows
             inj_occ = self.injection_occ
@@ -607,82 +675,70 @@ class WormholeSimulator:
                 cands = row[s]
                 if len(cands) == 1:
                     cands = cands[0]
-                inj_reqs.append((w, -1, cands))
-        header_requests = in_net + inj_reqs if inj_reqs else in_net
+                req = (w, -1, cands)
+                w.hdr_req = req
+                w.parked = False
+                inj_reqs.append(req)
 
-        # arbitrate in random order (identical stream to the reference)
+        # arbitrate in random order (identical stream to the reference):
+        # the permutation covers every request, parked or not, but only
+        # the unparked ones are visited, in permutation order
         grants: List[Tuple[Worm, int, int]] = []
-        if header_requests:
-            # .tolist() so the indices are plain ints (numpy scalars
-            # box on every list index); same RNG draw either way
-            order = self.rng.permutation(len(header_requests)).tolist()
-            consume_occ = self.consume_occ
-            grants_append = grants.append
-            if self._occ_write:
-                # Claim resources by writing the occupancy maps right at
-                # the grant (the commit writes the same values again):
-                # "free and not granted earlier this clock" collapses to
-                # one FREE test.  Only safe while nothing reads the maps
-                # mid-arbitration — the least-congested selection policy
-                # does, so it takes the set-based branch below.
-                for req in map(header_requests.__getitem__, order):
-                    w, origin, cands = req
-                    if origin is None:
-                        dst = w.dst
-                        if consume_occ[dst] == FREE:
-                            consume_occ[dst] = w.pid
-                            grants_append((w, -2, dst))
-                        continue
-                    if cands.__class__ is int:
-                        # singleton candidate (the common case): no list
-                        # build; a lone free candidate never draws RNG
-                        if occ[cands] == FREE:
-                            occ[cands] = w.pid
-                            grants_append((w, origin, cands))
-                        continue
-                    avail = [c for c in cands if occ[c] == FREE]
-                    if not avail:
-                        continue
-                    pick = avail[0] if len(avail) == 1 else self._select(avail)
-                    occ[pick] = w.pid
-                    grants_append((w, origin, pick))
+        losers: List[tuple] = []
+        n_net = len(reqs)
+        blocked = wheel.blocked
+        n_req = n_net + len(inj_reqs) + len(blocked)
+        if n_req:
+            perm = self.rng.permutation(n_req)
+            if len(hot) + len(inj_reqs) > 1:
+                pos = perm.argsort().tolist()  # request index -> rank
+                ranked = [(pos[bisect_left(keys, req[0].seq)], req) for req in hot]
+                for j, req in enumerate(inj_reqs):
+                    idx = n_net + j + bisect_left(blocked, req[0].src)
+                    ranked.append((pos[idx], req))
+                ranked.sort(key=itemgetter(0))
+                visit = [req for _, req in ranked]
             else:
-                granted_channels: set = set()
-                granted_consume: set = set()
-                for req in map(header_requests.__getitem__, order):
-                    w, origin, cands = req
-                    if origin is None:
-                        dst = w.dst
-                        if dst not in granted_consume and consume_occ[dst] == FREE:
-                            granted_consume.add(dst)
-                            grants_append((w, -2, dst))
-                        continue
-                    if cands.__class__ is int:
-                        cands = (cands,)
-                    avail = [
-                        c
-                        for c in cands
-                        if occ[c] == FREE and c not in granted_channels
-                    ]
-                    if not avail:
-                        continue
-                    pick = avail[0] if len(avail) == 1 else self._select(avail)
-                    granted_channels.add(pick)
-                    grants_append((w, origin, pick))
+                visit = hot or inj_reqs
+            if visit:
+                self._arbitrate(visit, grants, losers)
+        self._hot = hot = []
 
         # -- phase 3: commit -------------------------------------------
         hdr_latency = self._hdr_latency
-        shifted: set = set()
-        if grants:
-            # the granted headers leave (or re-time) the request set
-            # now and re-enter it after their routing delay
-            self._req_cache = None
-            self._req_dirty_until = clock + hdr_latency
         for w, origin, target in grants:
             if w.quiet:
                 w.quiet = False
                 live_append(w)
             w.hdr_req = None
+            if origin == -1:  # injection: header enters first channel
+                occ[target] = w.pid
+                self.injection_occ[w.src] = w.pid
+                self.queues[w.src].popleft()
+                active.append(w)
+                w.seq = self._next_seq
+                self._next_seq += 1
+                live_append(w)  # fresh worms are never quiet
+                w.t_inject = clock
+                w.chain = [target]
+                w.chain_flits = [1]
+                w.flits_at_source -= 1
+                w.hops = 1
+                w.head_ready_at = clock + hdr_latency
+                ripening.append((w.head_ready_at, w))
+                if rec:
+                    injected_flits[w.src] += 1
+                    ch_flits[target] += 1
+                if tracer is not None:
+                    tracer.record(clock, "inject", w.pid, w.src, w.dst, target)
+                if w.flits_at_source == 0:
+                    self.injection_occ[w.src] = FREE
+                    wheel.wake(w.src)
+                continue
+            # the header leaves the in-network request list
+            i = bisect_left(keys, w.seq)
+            del keys[i]
+            del reqs[i]
             if origin == -2:  # consumption port acquired; consume header
                 self.consume_occ[target] = w.pid
                 w.consuming = True
@@ -693,26 +749,6 @@ class WormholeSimulator:
                     consumed_flits[target] += 1
                 if tracer is not None:
                     tracer.record(clock, "consume", w.pid, w.src, w.dst)
-            elif origin == -1:  # injection: header enters first channel
-                occ[target] = w.pid
-                self.injection_occ[w.src] = w.pid
-                self.queues[w.src].popleft()
-                active.append(w)
-                live_append(w)  # fresh worms are never quiet
-                w.t_inject = clock
-                w.chain = [target]
-                w.chain_flits = [1]
-                w.flits_at_source -= 1
-                w.hops = 1
-                w.head_ready_at = clock + hdr_latency
-                if rec:
-                    injected_flits[w.src] += 1
-                    ch_flits[target] += 1
-                if tracer is not None:
-                    tracer.record(clock, "inject", w.pid, w.src, w.dst, target)
-                if w.flits_at_source == 0:
-                    self.injection_occ[w.src] = FREE
-                    wheel.wake(w.src)
             else:  # in-network hop
                 occ[target] = w.pid
                 w.chain.insert(0, target)
@@ -720,35 +756,30 @@ class WormholeSimulator:
                 w.chain_flits[1] -= 1
                 w.hops += 1
                 w.head_ready_at = clock + hdr_latency
-                shifted.add(w.pid)
+                ripening.append((w.head_ready_at, w))
                 if rec:
                     ch_flits[target] += 1
                 if tracer is not None:
                     tracer.record(clock, "hop", w.pid, w.src, w.dst, target)
-
-        for w, kind, i in body_plans:
-            cf = w.chain_flits
-            if kind == 0:  # consume
-                cf[0] -= 1
-                w.consumed += 1
-                if rec:
-                    consumed_flits[w.dst] += 1
-            elif kind == 1:  # advance
-                j = i + 1 if w.pid in shifted else i
-                cf[j + 1] -= 1
-                cf[j] += 1
-                if rec:
-                    ch_flits[w.chain[j]] += 1
-            else:  # feed from source (always targets the tail channel)
-                j = len(cf) - 1
-                w.flits_at_source -= 1
-                cf[j] += 1
-                if rec:
-                    injected_flits[w.src] += 1
-                    ch_flits[w.chain[j]] += 1
-                if w.flits_at_source == 0:
-                    self.injection_occ[w.src] = FREE
-                    wheel.wake(w.src)
+        for s in freed_src:
+            self.injection_occ[s] = FREE
+            wheel.wake(s)
+        # every resource of a losing request is now busy: park it
+        waiters = self._waiters
+        n_ch = len(occ)
+        for req in losers:
+            w, origin, cands = req
+            w.parked = True
+            if origin is None:
+                waiters[n_ch + w.dst].append(req)
+                continue
+            if cands.__class__ is int:
+                waiters[cands].append(req)
+            else:
+                for c in cands:
+                    waiters[c].append(req)
+            if origin == -1:
+                wheel.block(w.src)
 
         # -- phase 4: tail releases and completions ---------------------
         # Only worms that moved this clock (or were touched by a fault
@@ -756,24 +787,35 @@ class WormholeSimulator:
         # exactly the rebuilt live list.  Drains are per-worm
         # independent, so live order is fine; completion *emission*
         # (latency lists, retry scheduling, trace) must follow active
-        # order, restored below on the rare multi-finish clock.
+        # order, restored below on the rare multi-finish clock.  Each
+        # release wakes the requests parked on that resource.
         finished: List[Worm] = []
         for w in new_live:
             if w.t_inject is None:
                 continue
+            chain = w.chain
+            cf = w.chain_flits
             while (
-                w.chain
+                chain
                 and w.flits_at_source == 0
-                and w.chain_flits[-1] == 0
-                and not (len(w.chain) == 1 and not w.consuming)
+                and cf[-1] == 0
+                and (w.consuming or len(chain) > 1)
             ):
-                cid = w.chain.pop()
-                w.chain_flits.pop()
+                cid = chain.pop()
+                cf.pop()
                 occ[cid] = FREE
+                ws = waiters[cid]
+                if ws:
+                    waiters[cid] = []
+                    self._wake_requests(ws, hot)
             if w.consuming and w.consumed == w.length:
                 w.t_done = clock
                 w.quiet = True  # retire: evicts any stale live entry
                 self.consume_occ[w.dst] = FREE
+                ws = waiters[n_ch + w.dst]
+                if ws:
+                    waiters[n_ch + w.dst] = []
+                    self._wake_requests(ws, hot)
                 finished.append(w)
         if finished:
             done_ids = {w.pid for w in finished}
@@ -795,7 +837,218 @@ class WormholeSimulator:
             self.active = [w for w in self.active if w.pid not in done_ids]
             for w in finished:
                 self.worms.pop(w.pid, None)
-        return bool(grants) or bool(body_plans)
+        return bool(grants) or moves > 0
+
+    def _arbitrate(self, visit: List[tuple], grants: list, losers: list) -> None:
+        """Grant the unparked requests *visit*, in permutation order.
+
+        Appends ``(worm, origin, target)`` to *grants* and every request
+        left without a free resource to *losers*.
+        """
+        occ = self.channel_occ
+        consume_occ = self.consume_occ
+        grants_append = grants.append
+        losers_append = losers.append
+        if self._occ_write:
+            # Claim resources by writing the occupancy maps right at
+            # the grant (the commit writes the same values again):
+            # "free and not granted earlier this clock" collapses to
+            # one FREE test.  Only safe while nothing reads the maps
+            # mid-arbitration — the least-congested selection policy
+            # does, so it takes the set-based branch below.
+            for req in visit:
+                w, origin, cands = req
+                if origin is None:
+                    dst = w.dst
+                    if consume_occ[dst] == FREE:
+                        consume_occ[dst] = w.pid
+                        grants_append((w, -2, dst))
+                    else:
+                        losers_append(req)
+                    continue
+                if cands.__class__ is int:
+                    # singleton candidate (the common case): no list
+                    # build; a lone free candidate never draws RNG
+                    if occ[cands] == FREE:
+                        occ[cands] = w.pid
+                        grants_append((w, origin, cands))
+                    else:
+                        losers_append(req)
+                    continue
+                avail = [c for c in cands if occ[c] == FREE]
+                if not avail:
+                    losers_append(req)
+                    continue
+                pick = avail[0] if len(avail) == 1 else self._select(avail)
+                occ[pick] = w.pid
+                grants_append((w, origin, pick))
+            return
+        granted_channels: set = set()
+        granted_consume: set = set()
+        for req in visit:
+            w, origin, cands = req
+            if origin is None:
+                dst = w.dst
+                if dst not in granted_consume and consume_occ[dst] == FREE:
+                    granted_consume.add(dst)
+                    grants_append((w, -2, dst))
+                else:
+                    losers_append(req)
+                continue
+            if cands.__class__ is int:
+                cands = (cands,)
+            avail = [
+                c for c in cands if occ[c] == FREE and c not in granted_channels
+            ]
+            if not avail:
+                losers_append(req)
+                continue
+            pick = avail[0] if len(avail) == 1 else self._select(avail)
+            granted_channels.add(pick)
+            grants_append((w, origin, pick))
+
+    def _wake_requests(self, waiting: List[tuple], hot: List[tuple]) -> None:
+        """A resource was released: unpark the requests waiting on it.
+
+        Entries whose worm has moved on (granted, re-requested, or woken
+        through another resource) are stale and skipped.
+        """
+        for req in waiting:
+            w = req[0]
+            if w.parked and w.hdr_req is req:
+                w.parked = False
+                if req[1] == -1:
+                    self._wheel.wake(w.src)
+                else:
+                    hot.append(req)
+
+    def _header_request(self, w: Worm) -> tuple:
+        """The in-network request of *w*'s routing-ready header.
+
+        ``(w, None, ())`` asks for the destination's consumption port;
+        otherwise ``(w, head, cands)`` with a lone candidate stored as
+        the bare channel id (the arbitration discriminates on the type
+        instead of measuring the tuple).
+        """
+        head = w.chain[0]
+        dst = w.dst
+        if self._sink[head] == dst:
+            req = (w, None, ())
+        else:
+            cache = self.decision_cache
+            row = cache._next_rows[dst]
+            if row is None:
+                row = cache.next_row(dst)
+            cands = row[head]
+            if len(cands) == 1:
+                cands = cands[0]
+            req = (w, head, cands)
+        w.hdr_req = req
+        w.parked = False
+        return req
+
+    def _rebuild_arbitration(self) -> None:
+        """Recompute the fast path's arbitration state from scratch.
+
+        Runs before the first fast clock and after every fault hook or
+        decision-epoch change: active worms are renumbered in active
+        order, every routing-ready header gets a fresh unparked request,
+        the others go on the ripening FIFO, and every blocked source is
+        made pending again.
+        """
+        clock = self.clock
+        reqs: List[tuple] = []
+        keys: List[int] = []
+        ripening: List[Tuple[int, Worm]] = []
+        for seq, w in enumerate(self.active):
+            w.seq = seq
+            w.hdr_req = None
+            w.parked = False
+            if w.consuming or not w.chain:
+                continue
+            if w.head_ready_at > clock:
+                ripening.append((w.head_ready_at, w))
+            else:
+                reqs.append(self._header_request(w))
+                keys.append(seq)
+        ripening.sort(key=itemgetter(0))
+        self._next_seq = len(self.active)
+        self._reqs = reqs
+        self._req_keys = keys
+        self._ripening = deque(ripening)
+        self._hot = list(reqs)
+        self._waiters = [[] for _ in range(len(self.channel_occ) + self._n)]
+        self._wheel.wake_blocked()
+        self._arb_stale = False
+
+    def _check_parking(self) -> None:
+        """Assert the fast path's arbitration state (invariant mode).
+
+        The in-network request list plus the ripening FIFO hold exactly
+        the active headers not yet at their consumption port, in active
+        order; every unparked request will be visited next clock; and
+        every parked request — in-network or a blocked source — has
+        all its resources busy and sits on each one's waiter list.
+        """
+        if self._arb_stale:
+            return  # a fault hook ran; the next clock rebuilds
+        reqs = self._reqs
+        keys = self._req_keys
+        if keys != [req[0].seq for req in reqs] or any(
+            b <= a for a, b in zip(keys, keys[1:])
+        ):
+            raise AssertionError("request list is not in active order")
+        seqs = [w.seq for w in self.active]
+        if any(b <= a for a, b in zip(seqs, seqs[1:])):
+            raise AssertionError("active worms are not in seq order")
+        heads = {w.pid for w in self.active if w.chain and not w.consuming}
+        listed = [req[0].pid for req in reqs] + [w.pid for _, w in self._ripening]
+        if sorted(listed) != sorted(heads):
+            raise AssertionError(
+                f"request list + ripening FIFO {sorted(listed)} != "
+                f"waiting headers {sorted(heads)}"
+            )
+        hot = {id(req) for req in self._hot}
+        n_ch = len(self.channel_occ)
+        occ = self.channel_occ
+        consume_occ = self.consume_occ
+        waiters = self._waiters
+
+        def check(req: tuple) -> None:
+            w, origin, cands = req
+            if w.hdr_req is not req:
+                raise AssertionError(f"worm {w.pid}: parked request is stale")
+            if origin is None:
+                resources = (n_ch + w.dst,)
+            else:
+                resources = (cands,) if cands.__class__ is int else cands
+            for r in resources:
+                holder = occ[r] if r < n_ch else consume_occ[r - n_ch]
+                if holder == FREE:
+                    raise AssertionError(
+                        f"worm {w.pid} is parked on free resource {r}"
+                    )
+                if not any(x is req for x in waiters[r]):
+                    raise AssertionError(
+                        f"worm {w.pid} is parked but not on resource {r}'s "
+                        "waiter list"
+                    )
+
+        for req in reqs:
+            if req[0].parked:
+                check(req)
+            elif id(req) not in hot:
+                raise AssertionError(
+                    f"worm {req[0].pid}: unparked request would not be visited"
+                )
+        for s in self._wheel.blocked:
+            q = self.queues[s]
+            req = q[0].hdr_req if q else None
+            if req is None or req[1] != -1 or not q[0].parked:
+                raise AssertionError(f"blocked source {s} has no parked request")
+            if self.injection_occ[s] != FREE:
+                raise AssertionError(f"blocked source {s} holds its port")
+            check(req)
 
     def _select(self, avail: List[int]) -> int:
         """Pick one free candidate per the configured selection policy.
@@ -942,12 +1195,10 @@ class WormholeSimulator:
                     w.flits_at_source = 0
                     w.length = w.consumed + sum(kept)
                     w.corrupted = True
-                    # truncation rewrote the buffer state: rescan, and
-                    # the memoized header request may predate the cut
+                    # truncation rewrote the buffer state and freed
+                    # channels: rescan, and rebuild the arbitration state
                     self._wake_worm(w)
-                    w.hdr_req = None
-                    self._req_cache = None
-                    self._req_dirty_until = self.clock + self._hdr_latency
+                    self._arb_stale = True
                     if self.tracer is not None:
                         self.tracer.record(
                             self.clock, "truncate", w.pid, w.src, w.dst
@@ -1064,9 +1315,7 @@ class WormholeSimulator:
         self.active.remove(w)
         self.worms.pop(w.pid, None)
         w.quiet = True  # retire: evicts any stale live entry
-        w.hdr_req = None
-        self._req_cache = None
-        self._req_dirty_until = self.clock + self._hdr_latency
+        self._arb_stale = True  # its resources were freed outside phase 4
         if self.tracer is not None:
             self.tracer.record(self.clock, "drop", w.pid, w.src, w.dst)
 

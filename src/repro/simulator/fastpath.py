@@ -25,7 +25,10 @@ committed flit:
   parks it on a timer keyed by the **engine clock** — the wheel never
   keeps a private time counter, so retry re-injections scheduled by
   :class:`repro.faults.FaultRuntime` (also engine-clocked) and wheel
-  wakeups can never drift apart.
+  wakeups can never drift apart.  A source whose ready header lost
+  arbitration with every first-hop candidate busy is *blocked*: it
+  still counts as a request, but is not re-examined until one of those
+  channels is released.
 
 Everything in this module is bookkeeping only: the engines' fast paths
 consume these structures but commit flits with the exact same rules as
@@ -36,6 +39,7 @@ the seed implementations, which is what the differential golden suite
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from collections import deque
 from typing import Callable, List, Optional, Tuple
 
@@ -141,13 +145,19 @@ class InjectionWheel:
     """Event wheel over source switches with pending injections.
 
     ``pending`` holds the sources the injection arbitration must look at
-    this clock.  Sources leave the set in two ways: *parked on time*
+    this clock.  Sources leave the set in three ways: *parked on time*
     (the queue front's ``head_ready_at`` lies in the future — a timer
-    keyed by the engine clock re-adds them exactly when due) or *parked
+    keyed by the engine clock re-adds them exactly when due), *parked
     on credit* (the injection port is held by a worm still feeding — the
-    engine wakes them when the port frees).  Queue mutations from any
-    layer (traffic generation, fault-retry re-injection, tests pushing
-    worms directly) wake a source through :class:`NotifyingDeque`.
+    engine wakes them when the port frees) or *blocked* (the ready
+    header's first-hop candidates are all busy — the engine wakes them
+    when one is released).  Blocked sources are kept sorted in
+    ``blocked``: they still request every clock, so the engine needs
+    their count and their rank among the requesting sources.  Queue
+    mutations from any layer (traffic generation, fault-retry
+    re-injection, tests pushing worms directly) wake a source through
+    :class:`NotifyingDeque`; waking or sleeping a source also unblocks
+    it, so a source is never both pending and blocked.
 
     The wheel deliberately has **no clock of its own**: every timer
     carries an absolute engine-clock deadline and :meth:`advance` is
@@ -156,19 +166,40 @@ class InjectionWheel:
     disagree about "now".
     """
 
-    __slots__ = ("pending", "_timers")
+    __slots__ = ("pending", "blocked", "_timers")
 
     def __init__(self) -> None:
         self.pending: set = set()
+        self.blocked: List[int] = []  # sorted source ids
         self._timers: List[Tuple[int, int]] = []  # (due engine clock, src)
 
     def wake(self, src: int) -> None:
         """Make *src* visible to the next injection arbitration."""
         self.pending.add(src)
+        if self.blocked:
+            self._unblock(src)
 
     def sleep(self, src: int) -> None:
         """Remove *src* until something wakes it (queue empty / no credit)."""
         self.pending.discard(src)
+        if self.blocked:
+            self._unblock(src)
+
+    def block(self, src: int) -> None:
+        """Park *src* until one of its first-hop channels is released."""
+        self.pending.discard(src)
+        insort(self.blocked, src)
+
+    def wake_blocked(self) -> None:
+        """Make every blocked source pending again (epoch change)."""
+        self.pending.update(self.blocked)
+        self.blocked.clear()
+
+    def _unblock(self, src: int) -> None:
+        blocked = self.blocked
+        i = bisect_left(blocked, src)
+        if i < len(blocked) and blocked[i] == src:
+            del blocked[i]
 
     def park_until(self, src: int, due_clock: int) -> None:
         """Park *src* until the engine clock reaches *due_clock*."""
@@ -178,8 +209,12 @@ class InjectionWheel:
     def advance(self, clock: int) -> None:
         """Wake every source whose timer expired at engine-clock *clock*."""
         timers = self._timers
+        pending = self.pending
         while timers and timers[0][0] <= clock:
-            self.pending.add(heapq.heappop(timers)[1])
+            src = heapq.heappop(timers)[1]
+            pending.add(src)
+            if self.blocked:
+                self._unblock(src)  # a stale timer of a blocked source
 
     @property
     def parked(self) -> int:
@@ -189,7 +224,7 @@ class InjectionWheel:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"InjectionWheel(pending={sorted(self.pending)}, "
-            f"timers={len(self._timers)})"
+            f"blocked={self.blocked}, timers={len(self._timers)})"
         )
 
 

@@ -40,6 +40,8 @@ class Worm:
         "logical_id",
         "quiet",
         "hdr_req",
+        "parked",
+        "seq",
     )
 
     def __init__(self, pid: int, src: int, dst: int, length: int, t_gen: int) -> None:
@@ -80,9 +82,14 @@ class Worm:
         #: fast-path scheduler flag: no body move possible until the
         #: next grant (maintained by the engines' active-set step)
         self.quiet = False
-        #: fast-path memo of this worm's header request while blocked;
+        #: fast-path memo of this worm's header request while it waits;
         #: ``None`` when stale (cleared on grants and epoch changes)
         self.hdr_req = None
+        #: fast-path flag: ``hdr_req`` is parked on the waiter lists of
+        #: its (all busy) resources until one of them is released
+        self.parked = False
+        #: fast-path position key in active order (injection order)
+        self.seq = -1
 
     # ------------------------------------------------------------------
     def total_flits_held(self) -> int:

@@ -11,6 +11,12 @@ Three independent layers of cross-checking:
   every simulated-physics field of the result.  The reference engine is
   the oracle; the fast path is an optimization that must be invisible.
 
+* **Random scenarios** (``test_random_scenarios_fast_matches_reference``):
+  hypothesis draws small networks, loads up to saturation, short
+  packets, shallow buffers, every selection policy, hotspot traffic
+  and fault schedules, and both engines must still agree byte for byte
+  with the fast path's parking invariant checked every clock.
+
 * **Injection interleaving** (``TestInjectionInterleaving``): same-clock
   back-to-back injections at several sources produce identical
   per-worm event logs on both engines.
@@ -24,8 +30,11 @@ Three independent layers of cross-checking:
 """
 
 import dataclasses
+import functools
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.downup import build_down_up_routing
 from repro.faults import (
@@ -279,6 +288,83 @@ class TestEngineDifferential:
         assert batch.vec_clocks == cfg.measure_clocks
         assert batch.vec_moved_flits > 0
         assert batch.vec_flits_per_clock > 0.0
+
+
+@functools.lru_cache(maxsize=32)
+def _small_net(n, ports, rng):
+    topo = random_irregular_topology(n, ports, rng=rng)
+    return topo, build_down_up_routing(topo, rng=7)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    net=st.tuples(
+        st.integers(6, 14), st.sampled_from([3, 4]), st.integers(0, 3)
+    ),
+    load=st.floats(0.0, 1.0),
+    length=st.sampled_from([1, 2, 3, 8, 16]),
+    buffer_flits=st.integers(1, 3),
+    header_delay=st.integers(0, 2),
+    policy=st.sampled_from(["random", "first", "least-congested"]),
+    hotspot=st.booleans(),
+    faults=st.sampled_from([None, "drop", "drain"]),
+    seed=st.integers(0, 2**31 - 1),
+)
+# a drain truncation leaves a fragment whose empty tail channel must be
+# released in the same clock although none of its flits can move
+@example(
+    net=(6, 3, 0), load=1.0, length=3, buffer_flits=1, header_delay=0,
+    policy="random", hotspot=False, faults="drain", seed=0,
+)
+def test_random_scenarios_fast_matches_reference(
+    net, load, length, buffer_flits, header_delay, policy, hotspot, faults,
+    seed,
+):
+    """Reference and fast agree on random small scenarios, and the fast
+    path's parked requests stay blocked on busy, registered resources."""
+    topo, routing = _small_net(*net)
+    cfg = SimulationConfig(
+        packet_length=length,
+        injection_rate=load,
+        buffer_flits=buffer_flits,
+        header_delay=header_delay,
+        warmup_clocks=100,
+        measure_clocks=400,
+        selection_policy=policy,
+        seed=seed,
+    )
+    traffic = (
+        HotspotTraffic(topo.n, hotspots=(0, topo.n // 2), fraction=0.4)
+        if hotspot
+        else None
+    )
+    schedule = None
+    if faults is not None:
+        try:
+            schedule = FaultSchedule.random(
+                topo, permanent_links=1, link_flaps=1, window=(60, 300),
+                flap_duration=120, rng=seed,
+            )
+        except ValueError:
+            assume(False)  # this network cannot absorb the faults
+
+    def make(c):
+        sim = WormholeSimulator(routing, c, traffic=traffic)
+        sim.enable_invariant_checks()
+        if schedule is not None:
+            ctrl = ReconfigurationController(
+                lambda sub: build_down_up_routing(sub, rng=7), drain_clocks=16
+            )
+            sim.attach_faults(
+                FaultRuntime(schedule, ctrl, retry=RetryPolicy(), policy=faults)
+            )
+        return sim
+
+    _assert_equal(_digests(make, cfg))
 
 
 def _small_cfg(**overrides):

@@ -256,6 +256,69 @@ class TestConservation:
         assert np.array_equal(a.channel_flits, b.channel_flits)
 
 
+class TestParkingInvariant:
+    """The fast path parks a header request that lost arbitration on
+    the resources it waits for and skips it until one is released.  The
+    invariant mode checks, every clock, that each parked request has
+    all its resources busy and is on each one's waiter list."""
+
+    @staticmethod
+    def _saturated_hotspot(topology, policy, engine="fast"):
+        from repro.core.downup import build_down_up_routing
+        from repro.simulator.traffic import HotspotTraffic
+
+        routing = build_down_up_routing(topology, rng=7)
+        cfg = SimulationConfig(
+            packet_length=16,
+            injection_rate=1.0,
+            warmup_clocks=0,
+            measure_clocks=1_500,
+            selection_policy=policy,
+            seed=21,
+            engine=engine,
+        )
+        traffic = HotspotTraffic(topology.n, hotspots=(2, 9), fraction=0.5)
+        return WormholeSimulator(routing, cfg, traffic=traffic)
+
+    @pytest.mark.parametrize("policy", ["random", "least-congested"])
+    def test_saturated_hotspot_keeps_parking_invariant(
+        self, medium_irregular, policy
+    ):
+        sim = self._saturated_hotspot(medium_irregular, policy)
+        sim.enable_invariant_checks()
+        parked = blocked = 0
+        for _ in range(1_500):
+            sim.step()
+            parked += sum(req[0].parked for req in sim._reqs)
+            blocked += len(sim._wheel.blocked)
+        # saturation really parked both kinds of request
+        assert parked > 0 and blocked > 0
+        ref = self._saturated_hotspot(medium_irregular, policy, "reference")
+        for _ in range(1_500):
+            ref.step()
+
+        def state(s):
+            worms = [(w.pid, w.chain, w.chain_flits) for w in s.active]
+            return worms, s.rng.bit_generator.state
+
+        assert state(ref) == state(sim)
+
+    def test_check_catches_a_missed_wake(self, medium_irregular):
+        sim = self._saturated_hotspot(medium_irregular, "random")
+        sim.enable_invariant_checks()
+        while not any(req[0].parked for req in sim._reqs):
+            sim.step()
+        req = next(req for req in sim._reqs if req[0].parked)
+        w, origin, cands = req
+        # release one awaited resource behind the engine's back
+        if origin is None:
+            sim.consume_occ[w.dst] = -1
+        else:
+            sim.channel_occ[cands if isinstance(cands, int) else cands[0]] = -1
+        with pytest.raises(AssertionError, match="parked on free resource"):
+            sim._check_parking()
+
+
 class TestLoadBehaviour:
     def test_accepted_tracks_offered_below_saturation(self, medium_irregular):
         from repro.core.downup import build_down_up_routing
