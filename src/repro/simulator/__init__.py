@@ -62,11 +62,7 @@ from repro.simulator.replica_batch import (
 from repro.simulator.stats import SimulationStats
 from repro.simulator.trace import PacketTrace, TraceRecorder
 from repro.simulator.vec_state import ArrayState
-from repro.simulator.vc_engine import (
-    VcDeadlockDetected,
-    VirtualChannelSimulator,
-    simulate_vc,
-)
+from repro.simulator.vc_engine import VirtualChannelSimulator, simulate_vc
 from repro.simulator.traffic import (
     BitComplementTraffic,
     HotspotTraffic,
@@ -98,7 +94,6 @@ __all__ = [
     "TraceRecorder",
     "PacketTrace",
     "VirtualChannelSimulator",
-    "VcDeadlockDetected",
     "simulate_vc",
     "TrafficPattern",
     "UniformTraffic",

@@ -15,7 +15,7 @@ A synchronous, two-phase, cycle-accurate model.  Every clock:
    channel.
 3. **Commit** all plans, release drained tail channels and finished
    ports, collect statistics, periodically run the exact wait-for
-   deadlock analysis (:meth:`WormholeSimulator.find_deadlocked_worms`),
+   deadlock analysis (:meth:`SimulatorCore.find_deadlocked_worms`),
    and generate new packets (Bernoulli per node, destinations from the
    traffic pattern).
 
@@ -25,6 +25,11 @@ never releases a channel before its tail has drained, blocked worms
 hold resources exactly as wormhole switching demands — an admitted turn
 cycle *will* deadlock, which the watchdog turns into a loud
 :class:`DeadlockDetected` (exercised by tests).
+
+Everything around the clock step — queues, the clock driver and its
+watchdogs, packet generation, the fault hooks and the wait-for
+analysis — lives in :class:`SimulatorCore`, which this engine and the
+virtual-channel engine (:mod:`repro.simulator.vc_engine`) share.
 """
 
 from __future__ import annotations
@@ -67,41 +72,52 @@ class LivelockSuspected(RuntimeError):
     """
 
 
-class WormholeSimulator:
-    """Cycle-accurate wormhole simulation of one routing function.
+class SimulatorCore:
+    """The worm lifecycle both wormhole engines share.
 
-    Parameters
-    ----------
-    routing:
-        A verified :class:`~repro.routing.base.RoutingFunction`.
-    config:
-        Timing and workload parameters.
-    traffic:
-        Destination sampler; defaults to the paper's uniform pattern.
+    Holds the source queues, the injection wheel, statistics and
+    live-fault state; the clock driver with both watchdogs (the exact
+    wait-for deadlock analysis and the stall timer); packet generation;
+    and the fault hooks driven by :class:`repro.faults.FaultRuntime`.
 
-    Typical use is the one-shot :func:`simulate` helper; instantiate the
-    class directly when stepping manually (tests) or inspecting state.
+    A subclass supplies the resource model.  Worm chains index the
+    occupancy list ``_chain_occ`` (physical channels in
+    :class:`WormholeSimulator`, virtual channels in
+    :class:`~repro.simulator.vc_engine.VirtualChannelSimulator`);
+    ``_move_impl`` runs one clock of flit movement and returns whether
+    anything moved.  The rest differs only on cold paths:
+
+    * :meth:`phys` — the physical channel of a chain entry;
+    * :meth:`_wait_candidates` — the resources a blocked header waits
+      on, for the wait-for analysis;
+    * :meth:`_invalidate_requests` and :meth:`_wake_worm` — what a
+      fault mutation or a decision-epoch change invalidates;
+    * :meth:`_attach_routing` — pointing the decision caches at newly
+      installed tables.
     """
 
     def __init__(
         self,
-        routing: RoutingFunction,
+        routing,
+        topology,
         config: SimulationConfig,
-        traffic: Optional[TrafficPattern] = None,
+        traffic: Optional[TrafficPattern],
+        num_resources: int,
     ) -> None:
         self._routing = routing
-        self.topology = routing.topology
+        self.topology = topology
         self.config = config
-        self.traffic = traffic if traffic is not None else UniformTraffic(self.topology.n)
+        self.traffic = traffic if traffic is not None else UniformTraffic(topology.n)
         self.rng = as_generator(config.seed)
 
-        n = self.topology.n
-        #: channel occupancy: worm pid or FREE.  A plain list, not a
-        #: numpy array — the engine reads single elements in a tight
-        #: Python loop, where list indexing is several times faster.
-        self.channel_occ: List[int] = [FREE] * self.topology.num_channels
+        n = topology.n
+        #: occupancy of the resources worm chains hold: worm pid or
+        #: FREE.  A plain list, not a numpy array — the engines read
+        #: single elements in tight Python loops, where list indexing
+        #: is several times faster.
+        self._chain_occ: List[int] = [FREE] * num_resources
         #: channel sink switch, precomputed (hot-loop lookup)
-        self._sink = [ch.sink for ch in self.topology.channels]
+        self._sink = [ch.sink for ch in topology.channels]
         self.injection_occ = [FREE] * n
         self.consume_occ = [FREE] * n
         #: event wheel over sources with pending injections (fast path)
@@ -114,20 +130,17 @@ class WormholeSimulator:
         self.clock = 0
         self._next_pid = 0
         self._last_progress = 0
-        self.stats = StatsCollector(self.topology)
+        self.stats = StatsCollector(topology)
         self._check_invariants = False
         #: optional :class:`repro.simulator.trace.TraceRecorder`
         self.tracer = None
-        #: channels killed by a live fault — never granted to a header
-        #: (they read FREE once drained, but arbitration skips them).
-        #: Mutations invalidate the decision cache automatically.
+        #: *physical* channels killed by a live fault — never granted to
+        #: a header (they read FREE once drained, but arbitration skips
+        #: them).  Mutations invalidate the decision caches automatically.
         self.dead_channels: set = ObservedSet(self._invalidate_decisions)
         #: optional :class:`repro.faults.FaultRuntime` driving live
         #: fault injection and online reconfiguration
         self.faults = None
-        #: per-epoch routing-decision cache (dead-channel-filtered
-        #: candidate rows; see :class:`repro.simulator.fastpath.DecisionCache`)
-        self.decision_cache = DecisionCache(routing, self.dead_channels)
         #: per-clock config constants, hoisted out of the clock loop
         #: (the config is frozen, so these never change)
         self._gen_p = config.packet_probability
@@ -136,56 +149,20 @@ class WormholeSimulator:
         self._cap = config.buffer_flits
         self._hdr_latency = config.header_delay + config.link_delay
         self._n = n
-        #: fast-path arbitration may claim grants by writing the
-        #: occupancy maps in place — valid unless the selection policy
-        #: reads occupancy mid-arbitration (least-congested does)
-        self._occ_write = config.selection_policy != "least-congested"
-        #: the live list: active worms not known-quiet, i.e. the only
-        #: ones the body-move scan must visit (fast path)
-        self._live: List[Worm] = []
-        # -- fast-path arbitration state (see _move_fast); kept
-        # incrementally, rebuilt from scratch by _rebuild_arbitration
-        # on the fault / epoch path whenever _arb_stale is set
-        #: in-network header requests in active order, parked or not
-        self._reqs: List[tuple] = []
-        #: the requesting worms' ``seq`` keys, parallel to ``_reqs``
-        self._req_keys: List[int] = []
-        #: (due clock, worm) for granted headers inside their routing
-        #: delay; appends are due ``clock + _hdr_latency``, so FIFO order
-        #: is due order
-        self._ripening: Deque[Tuple[int, Worm]] = deque()
-        #: unparked in-network requests: arbitration visits only these
-        #: (plus the pending injection sources)
-        self._hot: List[tuple] = []
-        #: per-resource waiter lists — channels [0, C), consumption
-        #: ports [C, C + n) — of the requests parked on that resource
-        self._waiters: List[List[tuple]] = []
-        self._next_seq = 0
-        self._arb_stale = True
         #: which step implementation runs ("reference" / "fast" /
         #: "batch"); resolved once — engine selection is per-run
         self.engine_name = config.resolved_engine
-        if self.engine_name == "batch":
-            # deferred import: batch_engine imports Worm from this module
-            from repro.simulator.batch_engine import BatchCore
-
-            self._vec = BatchCore(self)
-            self._move_impl = self._vec.move
-        elif self.engine_name == "fast":
-            self._move_impl = self._move_fast
-        else:
-            self._move_impl = self._move_bodies_and_heads
 
     # ------------------------------------------------------------------
     # routing tables (epoch-atomic swap point)
     # ------------------------------------------------------------------
     @property
-    def routing(self) -> RoutingFunction:
+    def routing(self):
         """The installed routing tables."""
         return self._routing
 
     @routing.setter
-    def routing(self, routing: RoutingFunction) -> None:
+    def routing(self, routing) -> None:
         """Install new tables and atomically start a new decision epoch.
 
         Assignment is the *only* way tables change (the fault layer's
@@ -193,7 +170,7 @@ class WormholeSimulator:
         never serve candidates computed from a previous epoch.
         """
         self._routing = routing
-        self.decision_cache.attach(routing)
+        self._attach_routing(routing)
         self._drop_worm_memos()
 
     def _invalidate_decisions(self) -> None:
@@ -204,21 +181,10 @@ class WormholeSimulator:
             self._drop_worm_memos()
 
     def _drop_worm_memos(self) -> None:
-        """Clear every memoized header request (epoch change).
-
-        Candidate sets may have changed, so every parked request and
-        the request list holding them are rebuilt before the next fast
-        clock (:meth:`_rebuild_arbitration`).
-        """
+        """Clear every memoized header request (epoch change)."""
         for w in self.active:
             w.hdr_req = None
-        self._arb_stale = True
-
-    def _wake_worm(self, w: Worm) -> None:
-        """Put *w* back on the live list after an external mutation."""
-        if w.quiet:
-            w.quiet = False
-            self._live.append(w)
+        self._invalidate_requests()
 
     # ------------------------------------------------------------------
     # public driver
@@ -244,9 +210,9 @@ class WormholeSimulator:
     def enable_invariant_checks(self) -> None:
         """Verify flit conservation for every worm each clock (tests).
 
-        Under the fast engine this also checks the arbitration state:
+        The base engine's fast path also checks its arbitration state:
         every parked request has all its resources busy and is on each
-        one's waiter list (:meth:`_check_parking`).
+        one's waiter list (:meth:`WormholeSimulator._check_parking`).
         """
         self._check_invariants = True
 
@@ -286,11 +252,401 @@ class WormholeSimulator:
             raise LivelockSuspected(self._stall_report(stall))
         self._generate_packets()
         if self._check_invariants:
-            for w in self.active:
-                w.check_invariant()
-            if self.engine_name == "fast":
-                self._check_parking()
+            self._check_state()
         self.clock += 1
+
+    def _check_state(self) -> None:
+        """Per-clock invariant checks (see :meth:`enable_invariant_checks`)."""
+        for w in self.active:
+            w.check_invariant()
+
+    def _generate_packets(self) -> None:
+        p = self._gen_p
+        if p <= 0.0:
+            return
+        hits = np.nonzero(self.rng.random(self._n) < p)[0]
+        if hits.size == 0:
+            return
+        cfg = self.config
+        dead_switches = (
+            self.faults.dead_switches if self.faults is not None else ()
+        )
+        for s in hits.tolist():
+            if s in dead_switches:
+                continue  # a failed switch generates nothing
+            if cfg.max_queue is not None and len(self.queues[s]) >= cfg.max_queue:
+                self.stats.on_generate(dropped=True)
+                continue
+            dst = self.traffic.destination(s, self.rng)
+            if dst in dead_switches:
+                # addressed to a failed host: lost at generation time
+                self.stats.on_generate()
+                self.stats.on_lost()
+                continue
+            length = cfg.sample_length(self.rng)
+            w = Worm(self._next_pid, s, dst, length, self.clock)
+            self._next_pid += 1
+            self.worms[w.pid] = w
+            self.queues[s].append(w)
+            self.stats.on_generate()
+            if self.tracer is not None:
+                self.tracer.record(self.clock, "gen", w.pid, w.src, w.dst)
+
+    def find_deadlocked_worms(self) -> List[Worm]:
+        """Exact wait-for analysis: worms that can never progress again.
+
+        A worm is *live* when it is consuming, its header is still in
+        flight, or some admissible candidate resource (next channel —
+        under the VC engine every candidate virtual channel, including
+        the Duato escape class — or the destination's consumption port)
+        is free or held by a live worm (a live holder eventually drains
+        past and releases).  The greatest fixpoint of this rule marks
+        everything that can still move; the worms left over hold
+        resources and wait, directly or transitively, only on each
+        other — a wormhole deadlock (the cyclic-wait witness of the
+        turn-cycle condition).  Returns the non-live worms (empty for
+        any verified deadlock-free routing).
+        """
+        injected = [w for w in self.active if w.chain]
+        live = set()
+        # occupancy is frozen during the analysis, so each blocked
+        # header's candidate holders are read once, outside the fixpoint
+        waiting: List[Tuple[int, List[int]]] = []
+        occupant = self._chain_occ
+        for w in injected:
+            if w.consuming or w.head_ready_at > self.clock:
+                live.add(w.pid)
+                continue
+            head = w.chain[0]
+            node = self._sink[self.phys(head)]
+            if node == w.dst:
+                holders = [self.consume_occ[node]]
+            else:
+                holders = [occupant[r] for r in self._wait_candidates(w, head)]
+            waiting.append((w.pid, holders))
+        changed = True
+        while changed:
+            changed = False
+            for pid, holders in waiting:
+                if pid not in live and any(
+                    h == FREE or h in live for h in holders
+                ):
+                    live.add(pid)
+                    changed = True
+        return [w for w in injected if w.pid not in live]
+
+    # ------------------------------------------------------------------
+    # fault hooks (driven by repro.faults.FaultRuntime)
+    # ------------------------------------------------------------------
+    def _fault_kill_link(self, link: Tuple[int, int], policy: str) -> List[Worm]:
+        """Kill both channels of *link*; handle worms crossing it.
+
+        ``drop`` removes a crossing worm outright (all resources freed
+        instantly — an idealised abort signal).  ``drain`` keeps the
+        fragment on the destination side of the break: flits already
+        across the failed link continue to the destination and release
+        their channels naturally, while the tail side is reclaimed; the
+        fragment is marked ``corrupted`` and reported to the retry
+        layer when it finishes draining.  Returns the worms removed
+        *now* (drain fragments are reported later, at completion).
+        """
+        u, v = link
+        cids = (self.topology.channel_id(u, v), self.topology.channel_id(v, u))
+        self.dead_channels.update(cids)
+        occ = self._chain_occ
+        phys = self.phys
+        removed: List[Worm] = []
+        for w in list(self.active):
+            k = next((i for i, c in enumerate(w.chain) if phys(c) in cids), None)
+            if k is None:
+                continue
+            if policy == "drain":
+                # flits buffered in chain[k] already crossed the link
+                # (they sit in the sink-side input buffer), so the
+                # fragment keeps indices 0..k and loses everything
+                # upstream of the break
+                kept = w.chain_flits[: k + 1]
+                if sum(kept) > 0 or w.consuming:
+                    for c in w.chain[k + 1 :]:
+                        occ[c] = FREE
+                    if self.injection_occ[w.src] == w.pid:
+                        self.injection_occ[w.src] = FREE
+                        self._wheel.wake(w.src)
+                    w.chain = w.chain[: k + 1]
+                    w.chain_flits = kept
+                    w.flits_at_source = 0
+                    w.length = w.consumed + sum(kept)
+                    w.corrupted = True
+                    # truncation rewrote the buffer state and freed
+                    # resources: rescan the worm, and rebuild the
+                    # memoized arbitration state
+                    self._wake_worm(w)
+                    self._invalidate_requests()
+                    if self.tracer is not None:
+                        self.tracer.record(
+                            self.clock, "truncate", w.pid, w.src, w.dst
+                        )
+                    continue
+            self._drop_worm(w)
+            removed.append(w)
+        return removed
+
+    def _fault_restore_link(self, link: Tuple[int, int]) -> None:
+        """Revive both channels of *link* (a flap's UP edge).
+
+        The channels become *grantable* again immediately, but carry no
+        traffic until a reconfiguration installs tables that reference
+        them.
+        """
+        u, v = link
+        self.dead_channels.discard(self.topology.channel_id(u, v))
+        self.dead_channels.discard(self.topology.channel_id(v, u))
+
+    def _fault_kill_switch(self, v: int, policy: str) -> List[Worm]:
+        """Kill switch *v*: all incident links, plus traffic bound to it.
+
+        Removes queued packets at *v*, active worms destined to *v*
+        (their consumption port is gone for good), and active worms
+        sourced at *v* that still have flits to feed.  Returns every
+        worm removed, including those taken out by the incident-link
+        kills.
+        """
+        removed: List[Worm] = []
+        for nb in self.topology.neighbors(v):
+            link = (v, nb) if v < nb else (nb, v)
+            if self.topology.channel_id(link[0], link[1]) in self.dead_channels:
+                continue
+            removed.extend(self._fault_kill_link(link, policy))
+        for w in self.queues[v]:
+            self.worms.pop(w.pid, None)
+            removed.append(w)
+        self.queues[v].clear()
+        for w in list(self.active):
+            if w.dst == v or (w.src == v and w.flits_at_source > 0):
+                self._drop_worm(w)
+                removed.append(w)
+        return removed
+
+    def _fault_swap_routing(self, routing: RoutingFunction) -> None:
+        """Atomically install reconfigured routing tables.
+
+        *routing* must be remapped to this engine's (full) topology
+        channel-id space — see
+        :func:`repro.faults.controller.remap_routing`.
+        """
+        if routing.topology != self.topology:
+            raise ValueError("swapped routing must be remapped to the full topology")
+        self.routing = routing
+
+    def _fault_eject_stranded(self) -> Tuple[List[Worm], List[Worm]]:
+        """Drop worms and queued packets the new tables cannot carry.
+
+        A worm survives the swap only if its *held chain* is a path the
+        new routing function could itself have produced (each adjacent
+        channel pair is an admissible new-epoch turn) and its head
+        still has a way forward.  Ejecting nonconforming worms restores
+        the Dally-Seitz induction for the new epoch — every remaining
+        hold and every wait follows the new (verified acyclic) channel
+        dependency graph, so the transition cannot introduce a deadlock
+        through mixed-epoch ("ghost") dependencies.  Queued packets
+        whose destination became unroutable (endpoint died) are
+        cancelled.  Returns ``(ejected worms, cancelled packets)``.
+        """
+        ejected: List[Worm] = []
+        for w in list(self.active):
+            if w.consuming or not w.chain:
+                continue
+            if not self._chain_conforms(w):
+                self._drop_worm(w)
+                ejected.append(w)
+        cancelled: List[Worm] = []
+        for s, q in enumerate(self.queues):
+            if not q:
+                continue
+            stranded = [w for w in q if not self.routing.first_hops[w.dst][s]]
+            if stranded:
+                kept = [w for w in q if self.routing.first_hops[w.dst][s]]
+                q.clear()
+                q.extend(kept)
+                for w in stranded:
+                    self.worms.pop(w.pid, None)
+                cancelled.extend(stranded)
+        return ejected, cancelled
+
+    def _chain_conforms(self, w: Worm) -> bool:
+        """Is *w*'s held chain (projected onto physical channels) a
+        valid path under the current tables?"""
+        nh = self.routing.next_hops[w.dst]
+        phys = self.phys
+        chain = w.chain
+        for i in range(len(chain) - 1, 0, -1):
+            if phys(chain[i - 1]) not in nh[phys(chain[i])]:
+                return False
+        head = phys(chain[0])
+        if self._sink[head] == w.dst:
+            return True
+        return bool(nh[head])
+
+    def _drop_worm(self, w: Worm) -> None:
+        """Remove *w* from the network, freeing every held resource."""
+        occ = self._chain_occ
+        for c in w.chain:
+            occ[c] = FREE
+        if w.consuming:
+            self.consume_occ[w.dst] = FREE
+        if self.injection_occ[w.src] == w.pid:
+            self.injection_occ[w.src] = FREE
+            self._wheel.wake(w.src)
+        w.chain = []
+        w.chain_flits = []
+        self.active.remove(w)
+        self.worms.pop(w.pid, None)
+        w.quiet = True  # retire: evicts any stale live entry
+        self._invalidate_requests()  # resources freed outside the step
+        if self.tracer is not None:
+            self.tracer.record(self.clock, "drop", w.pid, w.src, w.dst)
+
+    def _fault_requeue(
+        self, src: int, dst: int, length: int, logical_id: int,
+        attempts: int, t_gen: int,
+    ) -> Worm:
+        """Re-enqueue a retried packet at its source (retry layer)."""
+        w = Worm(self._next_pid, src, dst, length, t_gen)
+        self._next_pid += 1
+        w.logical_id = logical_id
+        w.attempts = attempts
+        w.head_ready_at = self.clock
+        self.worms[w.pid] = w
+        self.queues[src].append(w)
+        if self.tracer is not None:
+            self.tracer.record(self.clock, "retry", w.pid, src, dst)
+        return w
+
+    def _stall_report(self, stall: int) -> str:
+        stuck = [
+            (w.pid, w.src, w.dst, list(zip(w.chain, w.chain_flits)))
+            for w in self.active[:6]
+        ]
+        queued = sum(len(q) for q in self.queues)
+        return (
+            f"no flit moved for {stall} clocks (clock {self.clock}, last "
+            f"progress {self._last_progress}) with {len(self.active)} worms "
+            f"active and {queued} packets queued; worm dump: {stuck}"
+        )
+
+    def _deadlock_report(self, dead: List[Worm]) -> str:
+        held = [
+            (w.pid, w.src, w.dst, list(zip(w.chain, w.chain_flits)))
+            for w in dead
+        ]
+        return (
+            f"wait-for analysis at clock {self.clock}: {len(dead)} worms "
+            f"can never progress (cyclic channel wait), e.g. {held[:4]}"
+        )
+
+
+class WormholeSimulator(SimulatorCore):
+    """Cycle-accurate wormhole simulation of one routing function.
+
+    Parameters
+    ----------
+    routing:
+        A verified :class:`~repro.routing.base.RoutingFunction`.
+    config:
+        Timing and workload parameters.
+    traffic:
+        Destination sampler; defaults to the paper's uniform pattern.
+
+    Typical use is the one-shot :func:`simulate` helper; instantiate the
+    class directly when stepping manually (tests) or inspecting state.
+    """
+
+    #: the shared driver, also bound in this class's own namespace: the
+    #: end-to-end benchmark's span tracer (``benchmarks/e2e/spans.py``)
+    #: wraps ``WormholeSimulator.run`` found in ``vars(WormholeSimulator)``
+    run = SimulatorCore.run
+
+    def __init__(
+        self,
+        routing: RoutingFunction,
+        config: SimulationConfig,
+        traffic: Optional[TrafficPattern] = None,
+    ) -> None:
+        topology = routing.topology
+        super().__init__(routing, topology, config, traffic, topology.num_channels)
+        #: channel occupancy: worm pid or FREE (worm chains hold
+        #: physical channels here)
+        self.channel_occ = self._chain_occ
+        #: per-epoch routing-decision cache (dead-channel-filtered
+        #: candidate rows; see :class:`repro.simulator.fastpath.DecisionCache`)
+        self.decision_cache = DecisionCache(routing, self.dead_channels)
+        #: fast-path arbitration may claim grants by writing the
+        #: occupancy maps in place — valid unless the selection policy
+        #: reads occupancy mid-arbitration (least-congested does)
+        self._occ_write = config.selection_policy != "least-congested"
+        #: the live list: active worms not known-quiet, i.e. the only
+        #: ones the body-move scan must visit (fast path)
+        self._live: List[Worm] = []
+        # -- fast-path arbitration state (see _move_fast); kept
+        # incrementally, rebuilt from scratch by _rebuild_arbitration
+        # on the fault / epoch path whenever _arb_stale is set
+        #: in-network header requests in active order, parked or not
+        self._reqs: List[tuple] = []
+        #: the requesting worms' ``seq`` keys, parallel to ``_reqs``
+        self._req_keys: List[int] = []
+        #: (due clock, worm) for granted headers inside their routing
+        #: delay; appends are due ``clock + _hdr_latency``, so FIFO order
+        #: is due order
+        self._ripening: Deque[Tuple[int, Worm]] = deque()
+        #: unparked in-network requests: arbitration visits only these
+        #: (plus the pending injection sources)
+        self._hot: List[tuple] = []
+        #: per-resource waiter lists — channels [0, C), consumption
+        #: ports [C, C + n) — of the requests parked on that resource
+        self._waiters: List[List[tuple]] = []
+        self._next_seq = 0
+        self._arb_stale = True
+        if self.engine_name == "batch":
+            # deferred import: batch_engine imports Worm from this module
+            from repro.simulator.batch_engine import BatchCore
+
+            self._vec = BatchCore(self)
+            self._move_impl = self._vec.move
+        elif self.engine_name == "fast":
+            self._move_impl = self._move_fast
+        else:
+            self._move_impl = self._move_bodies_and_heads
+
+    # ------------------------------------------------------------------
+    # per-engine hooks of the shared core
+    # ------------------------------------------------------------------
+    def _attach_routing(self, routing: RoutingFunction) -> None:
+        self.decision_cache.attach(routing)
+
+    def _invalidate_requests(self) -> None:
+        """Candidate sets or resource state changed outside the step:
+        every parked request and the request list holding them are
+        rebuilt before the next fast clock (:meth:`_rebuild_arbitration`)."""
+        self._arb_stale = True
+
+    def _wake_worm(self, w: Worm) -> None:
+        """Put *w* back on the live list after an external mutation."""
+        if w.quiet:
+            w.quiet = False
+            self._live.append(w)
+
+    def phys(self, cid: int) -> int:
+        """Physical channel of a chain entry (chains hold physical channels)."""
+        return cid
+
+    def _wait_candidates(self, w: Worm, head: int) -> Tuple[int, ...]:
+        """Every admissible next channel of *w*'s header, free or not."""
+        return self.routing.next_hops[w.dst][head]
+
+    def _check_state(self) -> None:
+        super()._check_state()
+        if self.engine_name == "fast":
+            self._check_parking()
 
     # ------------------------------------------------------------------
     # internals
@@ -1082,280 +1438,6 @@ class WormholeSimulator:
             if len(avail) == 1:
                 return avail[0]
         return avail[int(self.rng.integers(len(avail)))]
-
-    def _generate_packets(self) -> None:
-        p = self._gen_p
-        if p <= 0.0:
-            return
-        hits = np.nonzero(self.rng.random(self._n) < p)[0]
-        if hits.size == 0:
-            return
-        cfg = self.config
-        dead_switches = (
-            self.faults.dead_switches if self.faults is not None else ()
-        )
-        for s in hits.tolist():
-            if s in dead_switches:
-                continue  # a failed switch generates nothing
-            if cfg.max_queue is not None and len(self.queues[s]) >= cfg.max_queue:
-                self.stats.on_generate(dropped=True)
-                continue
-            dst = self.traffic.destination(s, self.rng)
-            if dst in dead_switches:
-                # addressed to a failed host: lost at generation time
-                self.stats.on_generate()
-                self.stats.on_lost()
-                continue
-            length = cfg.sample_length(self.rng)
-            w = Worm(self._next_pid, s, dst, length, self.clock)
-            self._next_pid += 1
-            self.worms[w.pid] = w
-            self.queues[s].append(w)
-            self.stats.on_generate()
-            if self.tracer is not None:
-                self.tracer.record(self.clock, "gen", w.pid, w.src, w.dst)
-
-    def find_deadlocked_worms(self) -> List[Worm]:
-        """Exact wait-for analysis: worms that can never progress again.
-
-        A worm is *live* when it is consuming, its header is still in
-        flight, or some admissible candidate resource (next channel or
-        the destination's consumption port) is free or held by a live
-        worm (a live holder eventually drains past and releases).  The
-        greatest fixpoint of this rule marks everything that can still
-        move; the worms left over hold channels and wait, directly or
-        transitively, only on each other — a wormhole deadlock (the
-        cyclic-wait witness of the turn-cycle condition).  Returns the
-        non-live worms (empty for any verified deadlock-free routing).
-        """
-        injected = [w for w in self.active if w.chain]
-        live: Dict[int, bool] = {}
-        for w in injected:
-            if w.consuming or w.head_ready_at > self.clock:
-                live[w.pid] = True
-        occupant = self.channel_occ
-        changed = True
-        while changed:
-            changed = False
-            for w in injected:
-                if live.get(w.pid):
-                    continue
-                head = w.chain[0]
-                node = self._sink[head]
-                if node == w.dst:
-                    holder = self.consume_occ[node]
-                    ok = holder == FREE or live.get(holder, False)
-                else:
-                    ok = any(
-                        occupant[c] == FREE or live.get(occupant[c], False)
-                        for c in self.routing.next_hops[w.dst][head]
-                    )
-                if ok:
-                    live[w.pid] = True
-                    changed = True
-        return [w for w in injected if not live.get(w.pid)]
-
-    # ------------------------------------------------------------------
-    # fault hooks (driven by repro.faults.FaultRuntime)
-    # ------------------------------------------------------------------
-    def _fault_kill_link(self, link: Tuple[int, int], policy: str) -> List[Worm]:
-        """Kill both channels of *link*; handle worms crossing it.
-
-        ``drop`` removes a crossing worm outright (all resources freed
-        instantly — an idealised abort signal).  ``drain`` keeps the
-        fragment on the destination side of the break: flits already
-        across the failed link continue to the destination and release
-        their channels naturally, while the tail side is reclaimed; the
-        fragment is marked ``corrupted`` and reported to the retry
-        layer when it finishes draining.  Returns the worms removed
-        *now* (drain fragments are reported later, at completion).
-        """
-        u, v = link
-        cids = (self.topology.channel_id(u, v), self.topology.channel_id(v, u))
-        self.dead_channels.update(cids)
-        removed: List[Worm] = []
-        for w in list(self.active):
-            k = next((i for i, c in enumerate(w.chain) if c in cids), None)
-            if k is None:
-                continue
-            if policy == "drain":
-                # flits buffered in chain[k] already crossed the link
-                # (they sit in the sink-side input buffer), so the
-                # fragment keeps indices 0..k and loses everything
-                # upstream of the break
-                kept = w.chain_flits[: k + 1]
-                if sum(kept) > 0 or w.consuming:
-                    for c in w.chain[k + 1 :]:
-                        self.channel_occ[c] = FREE
-                    if self.injection_occ[w.src] == w.pid:
-                        self.injection_occ[w.src] = FREE
-                        self._wheel.wake(w.src)
-                    w.chain = w.chain[: k + 1]
-                    w.chain_flits = kept
-                    w.flits_at_source = 0
-                    w.length = w.consumed + sum(kept)
-                    w.corrupted = True
-                    # truncation rewrote the buffer state and freed
-                    # channels: rescan, and rebuild the arbitration state
-                    self._wake_worm(w)
-                    self._arb_stale = True
-                    if self.tracer is not None:
-                        self.tracer.record(
-                            self.clock, "truncate", w.pid, w.src, w.dst
-                        )
-                    continue
-            self._drop_worm(w)
-            removed.append(w)
-        return removed
-
-    def _fault_restore_link(self, link: Tuple[int, int]) -> None:
-        """Revive both channels of *link* (a flap's UP edge).
-
-        The channels become *grantable* again immediately, but carry no
-        traffic until a reconfiguration installs tables that reference
-        them.
-        """
-        u, v = link
-        self.dead_channels.discard(self.topology.channel_id(u, v))
-        self.dead_channels.discard(self.topology.channel_id(v, u))
-
-    def _fault_kill_switch(self, v: int, policy: str) -> List[Worm]:
-        """Kill switch *v*: all incident links, plus traffic bound to it.
-
-        Removes queued packets at *v*, active worms destined to *v*
-        (their consumption port is gone for good), and active worms
-        sourced at *v* that still have flits to feed.  Returns every
-        worm removed, including those taken out by the incident-link
-        kills.
-        """
-        removed: List[Worm] = []
-        for nb in self.topology.neighbors(v):
-            link = (v, nb) if v < nb else (nb, v)
-            if self.topology.channel_id(link[0], link[1]) in self.dead_channels:
-                continue
-            removed.extend(self._fault_kill_link(link, policy))
-        for w in self.queues[v]:
-            self.worms.pop(w.pid, None)
-            removed.append(w)
-        self.queues[v].clear()
-        for w in list(self.active):
-            if w.dst == v or (w.src == v and w.flits_at_source > 0):
-                self._drop_worm(w)
-                removed.append(w)
-        return removed
-
-    def _fault_swap_routing(self, routing: RoutingFunction) -> None:
-        """Atomically install reconfigured routing tables.
-
-        *routing* must be remapped to this engine's (full) topology
-        channel-id space — see
-        :func:`repro.faults.controller.remap_routing`.
-        """
-        if routing.topology != self.topology:
-            raise ValueError("swapped routing must be remapped to the full topology")
-        self.routing = routing
-
-    def _fault_eject_stranded(self) -> Tuple[List[Worm], List[Worm]]:
-        """Drop worms and queued packets the new tables cannot carry.
-
-        A worm survives the swap only if its *held chain* is a path the
-        new routing function could itself have produced (each adjacent
-        channel pair is an admissible new-epoch turn) and its head
-        still has a way forward.  Ejecting nonconforming worms restores
-        the Dally-Seitz induction for the new epoch — every remaining
-        hold and every wait follows the new (verified acyclic) channel
-        dependency graph, so the transition cannot introduce a deadlock
-        through mixed-epoch ("ghost") dependencies.  Queued packets
-        whose destination became unroutable (endpoint died) are
-        cancelled.  Returns ``(ejected worms, cancelled packets)``.
-        """
-        ejected: List[Worm] = []
-        for w in list(self.active):
-            if w.consuming or not w.chain:
-                continue
-            if not self._chain_conforms(w):
-                self._drop_worm(w)
-                ejected.append(w)
-        cancelled: List[Worm] = []
-        for s, q in enumerate(self.queues):
-            if not q:
-                continue
-            stranded = [w for w in q if not self.routing.first_hops[w.dst][s]]
-            if stranded:
-                kept = [w for w in q if self.routing.first_hops[w.dst][s]]
-                q.clear()
-                q.extend(kept)
-                for w in stranded:
-                    self.worms.pop(w.pid, None)
-                cancelled.extend(stranded)
-        return ejected, cancelled
-
-    def _chain_conforms(self, w: Worm) -> bool:
-        """Is *w*'s held chain a valid path under the current tables?"""
-        nh = self.routing.next_hops[w.dst]
-        for i in range(len(w.chain) - 1, 0, -1):
-            if w.chain[i - 1] not in nh[w.chain[i]]:
-                return False
-        head = w.chain[0]
-        if self._sink[head] == w.dst:
-            return True
-        return bool(nh[head])
-
-    def _drop_worm(self, w: Worm) -> None:
-        """Remove *w* from the network, freeing every held resource."""
-        for c in w.chain:
-            self.channel_occ[c] = FREE
-        if w.consuming:
-            self.consume_occ[w.dst] = FREE
-        if self.injection_occ[w.src] == w.pid:
-            self.injection_occ[w.src] = FREE
-            self._wheel.wake(w.src)
-        w.chain = []
-        w.chain_flits = []
-        self.active.remove(w)
-        self.worms.pop(w.pid, None)
-        w.quiet = True  # retire: evicts any stale live entry
-        self._arb_stale = True  # its resources were freed outside phase 4
-        if self.tracer is not None:
-            self.tracer.record(self.clock, "drop", w.pid, w.src, w.dst)
-
-    def _fault_requeue(
-        self, src: int, dst: int, length: int, logical_id: int,
-        attempts: int, t_gen: int,
-    ) -> Worm:
-        """Re-enqueue a retried packet at its source (retry layer)."""
-        w = Worm(self._next_pid, src, dst, length, t_gen)
-        self._next_pid += 1
-        w.logical_id = logical_id
-        w.attempts = attempts
-        w.head_ready_at = self.clock
-        self.worms[w.pid] = w
-        self.queues[src].append(w)
-        if self.tracer is not None:
-            self.tracer.record(self.clock, "retry", w.pid, src, dst)
-        return w
-
-    def _stall_report(self, stall: int) -> str:
-        stuck = [
-            (w.pid, w.src, w.dst, list(zip(w.chain, w.chain_flits)))
-            for w in self.active[:6]
-        ]
-        queued = sum(len(q) for q in self.queues)
-        return (
-            f"no flit moved for {stall} clocks (clock {self.clock}, last "
-            f"progress {self._last_progress}) with {len(self.active)} worms "
-            f"active and {queued} packets queued; worm dump: {stuck}"
-        )
-
-    def _deadlock_report(self, dead: List[Worm]) -> str:
-        held = [
-            (w.pid, w.src, w.dst, list(zip(w.chain, w.chain_flits)))
-            for w in dead
-        ]
-        return (
-            f"wait-for analysis at clock {self.clock}: {len(dead)} worms "
-            f"can never progress (cyclic channel wait), e.g. {held[:4]}"
-        )
 
 
 def simulate(

@@ -568,8 +568,7 @@ class ReplicaBatchCore:
                 if sim._check_invariants:
                     sim.clock = clock
                     core.sync()
-                    for w in sim.active:
-                        w.check_invariant()
+                    sim._check_state()
 
         self._clock = clock + 1
 

@@ -16,6 +16,11 @@ virtual channels per physical channel:
 * injection and consumption stay single-ported per switch, as in the
   base engine.
 
+Queues, the clock driver and its watchdogs, packet generation, the
+fault hooks and the wait-for analysis come from
+:class:`~repro.simulator.engine.SimulatorCore`; this module holds only
+the VC resource model and its two step functions.
+
 Two VC allocation policies (:class:`VcPolicy`):
 
 ``replicate``
@@ -37,32 +42,19 @@ Two VC allocation policies (:class:`VcPolicy`):
 
 from __future__ import annotations
 
-from typing import Deque, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from repro.routing.base import RoutingFunction
 from repro.routing.duato import DuatoRouting
 from repro.simulator.config import BIT_EXACT_ENGINES, SimulationConfig
-from repro.simulator.fastpath import (
-    DecisionCache,
-    InjectionWheel,
-    NotifyingDeque,
-    ObservedSet,
-)
+from repro.simulator.engine import FREE, SimulatorCore
+from repro.simulator.fastpath import DecisionCache
 from repro.simulator.packet import Worm
-from repro.simulator.stats import SimulationStats, StatsCollector
-from repro.simulator.traffic import TrafficPattern, UniformTraffic
-from repro.util.rng import as_generator
-
-FREE = -1
+from repro.simulator.stats import SimulationStats
+from repro.simulator.traffic import TrafficPattern
 
 
-class VcDeadlockDetected(RuntimeError):
-    """The VC engine found worms that can never progress again."""
-
-
-class VirtualChannelSimulator:
+class VirtualChannelSimulator(SimulatorCore):
     """Cycle-accurate wormhole simulation with virtual channels.
 
     Parameters
@@ -92,37 +84,13 @@ class VirtualChannelSimulator:
         self.duato = isinstance(routing, DuatoRouting)
         if self.duato and num_vcs < 2:
             raise ValueError("duato routing needs at least 2 virtual channels")
-        self._routing = routing
-        self.topology = (
-            routing.escape.topology if self.duato else routing.topology
+        topology = routing.escape.topology if self.duato else routing.topology
+        super().__init__(
+            routing, topology, config, traffic, topology.num_channels * num_vcs
         )
-        self.config = config
         self.V = num_vcs
-        self.traffic = traffic if traffic is not None else UniformTraffic(self.topology.n)
-        self.rng = as_generator(config.seed)
-
-        n = self.topology.n
-        n_vc = self.topology.num_channels * num_vcs
         #: occupancy per *virtual* channel (worm pid or FREE)
-        self.vc_occ: List[int] = [FREE] * n_vc
-        self._sink = [ch.sink for ch in self.topology.channels]
-        self.injection_occ = [FREE] * n
-        self.consume_occ = [FREE] * n
-        #: event wheel over sources with pending injections (fast path)
-        self._wheel = InjectionWheel()
-        self.queues: List[Deque[Worm]] = [
-            NotifyingDeque(self._wheel, s) for s in range(n)
-        ]
-        self.active: List[Worm] = []
-        self.clock = 0
-        self._next_pid = 0
-        self.stats = StatsCollector(self.topology)
-        self._check_invariants = False
-        #: *physical* channels killed by a live fault.  Mutations
-        #: invalidate the decision caches automatically.
-        self.dead_channels: set = ObservedSet(self._invalidate_decisions)
-        #: optional :class:`repro.faults.FaultRuntime`
-        self.faults = None
+        self.vc_occ = self._chain_occ
         #: per-epoch routing-decision caches over *physical* channels
         #: (dead channels pre-filtered); the ``duato`` policy keeps a
         #: second cache for its escape layer
@@ -132,21 +100,14 @@ class VirtualChannelSimulator:
             self._escape_cache = DecisionCache(routing.escape, self.dead_channels)
         else:
             self.decision_cache = DecisionCache(routing, self.dead_channels)
-        #: per-clock config constants, hoisted out of the clock loop
-        self._gen_p = config.packet_probability
-        self._deadlock_interval = config.deadlock_interval
-        self._cap = config.buffer_flits
-        self._hdr_latency = config.header_delay + config.link_delay
-        self._n = n
         #: memoized in-network header-request list and the last clock
-        #: of its dirty window (fast path); see the base engine
+        #: of its dirty window (fast path)
         self._req_cache: Optional[List[tuple]] = None
         self._req_dirty_until = -1
         #: engine selection: the VC engine runs only the bit-exact
         #: engines — its body commits are RNG-ordered under shared
         #: per-link budgets, inherently sequential, so there is no
         #: batched body phase to relax
-        self.engine_name = config.resolved_engine
         if self.engine_name not in BIT_EXACT_ENGINES:
             raise ValueError(
                 f"the VC engine runs only the bit-exact engines "
@@ -156,24 +117,23 @@ class VirtualChannelSimulator:
             self._move if self.engine_name == "reference" else self._move_fast
         )
 
-    # ------------------------------------------------------------------
-    # routing tables (epoch-atomic swap point)
-    # ------------------------------------------------------------------
-    @property
-    def routing(self):
-        """The installed routing tables (or :class:`DuatoRouting` pair)."""
-        return self._routing
+    def attach_faults(self, runtime) -> None:
+        """Install a :class:`repro.faults.FaultRuntime` on this engine.
 
-    @routing.setter
-    def routing(self, routing) -> None:
-        """Install new tables and atomically start a new decision epoch."""
-        self._routing = routing
-        self.duato = isinstance(routing, DuatoRouting)
-        cache = getattr(self, "decision_cache", None)
-        if cache is None:
-            return
+        Only the ``replicate`` VC policy is supported: the Duato escape
+        layer's two-routing structure has no remapped swap path yet.
+        """
         if self.duato:
-            cache.attach(routing.adaptive)
+            raise ValueError(
+                "fault injection supports the replicate VC policy only"
+            )
+        super().attach_faults(runtime)
+
+    # -- per-engine hooks of the shared core --------------------------------
+    def _attach_routing(self, routing) -> None:
+        self.duato = isinstance(routing, DuatoRouting)
+        if self.duato:
+            self.decision_cache.attach(routing.adaptive)
             if self._escape_cache is None:
                 self._escape_cache = DecisionCache(
                     routing.escape, self.dead_channels
@@ -181,24 +141,22 @@ class VirtualChannelSimulator:
             else:
                 self._escape_cache.attach(routing.escape)
         else:
-            cache.attach(routing)
-        self._drop_worm_memos()
+            self.decision_cache.attach(routing)
 
     def _invalidate_decisions(self) -> None:
-        """Dead-channel set changed: drop every cached decision row."""
-        cache = getattr(self, "decision_cache", None)
-        if cache is not None:
-            cache.invalidate()
-            if self._escape_cache is not None:
-                self._escape_cache.invalidate()
-            self._drop_worm_memos()
+        if self._escape_cache is not None:
+            self._escape_cache.invalidate()
+        super()._invalidate_decisions()
 
-    def _drop_worm_memos(self) -> None:
-        """Clear every memoized header request (epoch change)."""
-        for w in self.active:
-            w.hdr_req = None
+    def _invalidate_requests(self) -> None:
+        """Drop the memoized request list and reopen its dirty window."""
         self._req_cache = None
         self._req_dirty_until = self.clock + self._hdr_latency
+
+    def _wake_worm(self, w: Worm) -> None:
+        """Rescan *w* after a fault hook rewrote its buffer state."""
+        w.quiet = False
+        w.hdr_req = None
 
     # -- vc id helpers ---------------------------------------------------
     def phys(self, vcid: int) -> int:
@@ -266,71 +224,16 @@ class VirtualChannelSimulator:
                 out.append(ev)
         return out
 
-    # -- public driver ----------------------------------------------------
-    def run(self) -> SimulationStats:
-        """Run warmup + measurement and return window statistics."""
-        step = self.step
-        for _ in range(self.config.warmup_clocks):
-            step()
-        stats = self.stats
-        stats.active = True
-        sample_timeline = stats.timeline_interval > 0
-        for _ in range(self.config.measure_clocks):
-            step()
-            stats.window_clocks += 1
-            if sample_timeline:
-                stats.on_tick()
-        reconfigs = self.faults.records if self.faults is not None else ()
-        return self.stats.finalize(
-            sum(len(q) for q in self.queues), reconfigurations=reconfigs
-        )
-
-    def enable_invariant_checks(self) -> None:
-        """Check flit conservation per worm each clock (tests)."""
-        self._check_invariants = True
-
-    def attach_faults(self, runtime) -> None:
-        """Install a :class:`repro.faults.FaultRuntime` on this engine.
-
-        Only the ``replicate`` VC policy is supported: the Duato escape
-        layer's two-routing structure has no remapped swap path yet.
-        """
-        if self.duato:
-            raise ValueError(
-                "fault injection supports the replicate VC policy only"
-            )
-        if runtime.schedule.topology != self.topology:
-            raise ValueError("fault schedule built for a different topology")
-        self.faults = runtime
-
-    # -- one clock ----------------------------------------------------------
-    def step(self) -> None:
-        """Advance one clock."""
-        if self.faults is not None:
-            self.faults.on_clock(self)
-        self._move_impl()
-        interval = self._deadlock_interval
-        if interval and self.clock % interval == interval - 1:
-            dead = self.find_deadlocked_worms()
-            if dead:
-                raise VcDeadlockDetected(
-                    f"clock {self.clock}: {len(dead)} worms can never "
-                    f"progress, e.g. pids {[w.pid for w in dead[:5]]}"
-                )
-        self._generate()
-        if self._check_invariants:
-            for w in self.active:
-                w.check_invariant()
-        self.clock += 1
-
     # -- internals ----------------------------------------------------------
-    def _move(self) -> None:
+    def _move(self) -> bool:
         """One clock of flit movement — the seed *reference* implementation.
 
         Kept verbatim as the behavioural oracle: the fast path
         (:meth:`_move_fast`) must replay this function's decisions —
         every RNG draw, every grant, every committed flit — byte for
-        byte, which the differential golden suite enforces.
+        byte, which the differential golden suite enforces.  Returns
+        whether anything moved: every grant and every committed flit
+        spends a physical-link budget.
         """
         cap = self.config.buffer_flits
         V = self.V
@@ -501,8 +404,11 @@ class VirtualChannelSimulator:
         if finished:
             done = {w.pid for w in finished}
             self.active = [w for w in self.active if w.pid not in done]
+            for w in finished:
+                self.worms.pop(w.pid, None)
+        return bool(recv_used or send_used)
 
-    def _move_fast(self) -> None:
+    def _move_fast(self) -> bool:
         """One clock of flit movement — the fast-path implementation.
 
         Byte-identical to :meth:`_move` for any fixed seed (same
@@ -759,6 +665,10 @@ class VirtualChannelSimulator:
                 and pid not in shifted
                 and w.t_head_arrival != clock
                 and w.t_inject != clock
+                # only a drain truncation leaves an empty tail VC (or a
+                # fully drained fragment) here: the release loop below
+                # must still visit it although nothing moved
+                and not (w.flits_at_source == 0 and cf and cf[-1] == 0)
             ):
                 # nothing can move until this worm's next grant
                 w.quiet = True
@@ -843,213 +753,16 @@ class VirtualChannelSimulator:
         if finished:
             done = {w.pid for w in finished}
             self.active = [w for w in self.active if w.pid not in done]
+            for w in finished:
+                self.worms.pop(w.pid, None)
+        return bool(recv_used or send_used)
 
-    def _generate(self) -> None:
-        cfg = self.config
-        p = self._gen_p
-        if p <= 0.0:
-            return
-        hits = np.nonzero(self.rng.random(self._n) < p)[0]
-        if hits.size == 0:
-            return
-        dead_switches = (
-            self.faults.dead_switches if self.faults is not None else ()
-        )
-        for s in hits.tolist():
-            if s in dead_switches:
-                continue
-            if cfg.max_queue is not None and len(self.queues[s]) >= cfg.max_queue:
-                self.stats.on_generate(dropped=True)
-                continue
-            dst = self.traffic.destination(s, self.rng)
-            if dst in dead_switches:
-                self.stats.on_generate()
-                self.stats.on_lost()
-                continue
-            length = cfg.sample_length(self.rng)
-            w = Worm(self._next_pid, s, dst, length, self.clock)
-            self._next_pid += 1
-            self.queues[s].append(w)
-            self.stats.on_generate()
+    def _wait_candidates(self, w: Worm, head_vc: int) -> List[int]:
+        """All candidate VCs (free or not) for the wait-for analysis.
 
-    # -- fault hooks (driven by repro.faults.FaultRuntime) -----------------
-    def _fault_kill_link(self, link, policy: str) -> List[Worm]:
-        """Kill both physical channels of *link* (see base engine).
-
-        Chains here hold *virtual* channel ids, so crossing worms are
-        found through :meth:`phys`; the drop/drain semantics mirror
-        :meth:`WormholeSimulator._fault_kill_link`.
+        Under ``duato`` a worm off the escape layer also waits on its
+        escape candidates, so a free or live escape VC keeps it live.
         """
-        u, v = link
-        phys_cids = (
-            self.topology.channel_id(u, v),
-            self.topology.channel_id(v, u),
-        )
-        self.dead_channels.update(phys_cids)
-        removed: List[Worm] = []
-        for w in list(self.active):
-            k = next(
-                (i for i, c in enumerate(w.chain) if self.phys(c) in phys_cids),
-                None,
-            )
-            if k is None:
-                continue
-            if policy == "drain":
-                kept = w.chain_flits[: k + 1]
-                if sum(kept) > 0 or w.consuming:
-                    for c in w.chain[k + 1 :]:
-                        self.vc_occ[c] = FREE
-                    if self.injection_occ[w.src] == w.pid:
-                        self.injection_occ[w.src] = FREE
-                        self._wheel.wake(w.src)
-                    w.chain = w.chain[: k + 1]
-                    w.chain_flits = kept
-                    w.flits_at_source = 0
-                    w.length = w.consumed + sum(kept)
-                    w.corrupted = True
-                    # truncation rewrote the buffer state: rescan, and
-                    # the memoized header request may predate the cut
-                    w.quiet = False
-                    w.hdr_req = None
-                    self._req_cache = None
-                    self._req_dirty_until = self.clock + self._hdr_latency
-                    continue
-            self._drop_worm(w)
-            removed.append(w)
-        return removed
-
-    def _fault_restore_link(self, link) -> None:
-        """Revive both physical channels of *link*."""
-        u, v = link
-        self.dead_channels.discard(self.topology.channel_id(u, v))
-        self.dead_channels.discard(self.topology.channel_id(v, u))
-
-    def _fault_kill_switch(self, v: int, policy: str) -> List[Worm]:
-        """Kill switch *v* and every packet that depends on it."""
-        removed: List[Worm] = []
-        for nb in self.topology.neighbors(v):
-            link = (v, nb) if v < nb else (nb, v)
-            if self.topology.channel_id(link[0], link[1]) in self.dead_channels:
-                continue
-            removed.extend(self._fault_kill_link(link, policy))
-        removed.extend(self.queues[v])
-        self.queues[v].clear()
-        for w in list(self.active):
-            if w.dst == v or (w.src == v and w.flits_at_source > 0):
-                self._drop_worm(w)
-                removed.append(w)
-        return removed
-
-    def _fault_swap_routing(self, routing: RoutingFunction) -> None:
-        """Install reconfigured (full-topology-remapped) routing tables."""
-        if routing.topology != self.topology:
-            raise ValueError("swapped routing must be remapped to the full topology")
-        self.routing = routing
-
-    def _fault_eject_stranded(self):
-        """Eject worms/queued packets the new tables cannot carry.
-
-        Same epoch-conformance rule as the base engine, applied to the
-        physical projection of the held VC chain.
-        """
-        ejected: List[Worm] = []
-        for w in list(self.active):
-            if w.consuming or not w.chain:
-                continue
-            if not self._chain_conforms(w):
-                self._drop_worm(w)
-                ejected.append(w)
-        cancelled: List[Worm] = []
-        for s, q in enumerate(self.queues):
-            if not q:
-                continue
-            stranded = [w for w in q if not self.routing.first_hops[w.dst][s]]
-            if stranded:
-                kept = [w for w in q if self.routing.first_hops[w.dst][s]]
-                q.clear()
-                q.extend(kept)
-                cancelled.extend(stranded)
-        return ejected, cancelled
-
-    def _chain_conforms(self, w: Worm) -> bool:
-        nh = self.routing.next_hops[w.dst]
-        for i in range(len(w.chain) - 1, 0, -1):
-            if self.phys(w.chain[i - 1]) not in nh[self.phys(w.chain[i])]:
-                return False
-        head = self.phys(w.chain[0])
-        if self._sink[head] == w.dst:
-            return True
-        return bool(nh[head])
-
-    def _drop_worm(self, w: Worm) -> None:
-        """Remove *w* from the network, freeing every held VC."""
-        for c in w.chain:
-            self.vc_occ[c] = FREE
-        if w.consuming:
-            self.consume_occ[w.dst] = FREE
-        if self.injection_occ[w.src] == w.pid:
-            self.injection_occ[w.src] = FREE
-            self._wheel.wake(w.src)
-        w.chain = []
-        w.chain_flits = []
-        self.active.remove(w)
-        w.quiet = True  # retire: never rescanned
-        w.hdr_req = None
-        self._req_cache = None
-        self._req_dirty_until = self.clock + self._hdr_latency
-
-    def _fault_requeue(
-        self, src: int, dst: int, length: int, logical_id: int,
-        attempts: int, t_gen: int,
-    ) -> Worm:
-        """Re-enqueue a retried packet at its source."""
-        w = Worm(self._next_pid, src, dst, length, t_gen)
-        self._next_pid += 1
-        w.logical_id = logical_id
-        w.attempts = attempts
-        w.head_ready_at = self.clock
-        self.queues[src].append(w)
-        return w
-
-    def find_deadlocked_worms(self) -> List[Worm]:
-        """Wait-for fixpoint over virtual-channel resources.
-
-        Same greatest-fixpoint rule as the base engine, with candidate
-        resources taken from the VC policy (including the escape fall
-        back — under ``duato`` a worm with a free or live escape
-        candidate is always live).
-        """
-        injected = [w for w in self.active if w.chain]
-        live: Dict[int, bool] = {}
-        for w in injected:
-            if w.consuming or w.head_ready_at > self.clock:
-                live[w.pid] = True
-        changed = True
-        while changed:
-            changed = False
-            for w in injected:
-                if live.get(w.pid):
-                    continue
-                head = w.chain[0]
-                node = self._sink[self.phys(head)]
-                if node == w.dst:
-                    holder = self.consume_occ[node]
-                    ok = holder == FREE or live.get(holder, False)
-                else:
-                    ok = False
-                    # a candidate vc is usable if free, or held by a live worm
-                    for vc in self._all_candidate_vcs(w, head):
-                        holder = self.vc_occ[vc]
-                        if holder == FREE or live.get(holder, False):
-                            ok = True
-                            break
-                if ok:
-                    live[w.pid] = True
-                    changed = True
-        return [w for w in injected if not live.get(w.pid)]
-
-    def _all_candidate_vcs(self, w: Worm, head_vc: int) -> List[int]:
-        """All candidate VCs (free or not) for the wait-for analysis."""
         if not self.duato:
             r: RoutingFunction = self.routing
             out = []

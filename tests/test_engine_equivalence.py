@@ -11,11 +11,16 @@ Three independent layers of cross-checking:
   every simulated-physics field of the result.  The reference engine is
   the oracle; the fast path is an optimization that must be invisible.
 
-* **Random scenarios** (``test_random_scenarios_fast_matches_reference``):
-  hypothesis draws small networks, loads up to saturation, short
-  packets, shallow buffers, every selection policy, hotspot traffic
-  and fault schedules, and both engines must still agree byte for byte
-  with the fast path's parking invariant checked every clock.
+* **Pinned digests** (``PINNED_DIGESTS``): the differential suite only
+  checks reference == fast, so a change that shifted both the same way
+  would pass it; the VC and base fault scenarios also match absolute
+  digests.
+
+* **Random scenarios** (``test_random_scenarios_fast_matches_reference``
+  and its VC twin): hypothesis draws small networks, loads up to
+  saturation, short packets, shallow buffers, every selection policy,
+  hotspot traffic and fault schedules, and both step functions must
+  still agree byte for byte with the invariants checked every clock.
 
 * **Injection interleaving** (``TestInjectionInterleaving``): same-clock
   back-to-back injections at several sources produce identical
@@ -76,12 +81,31 @@ def _digests(make_sim, cfg, engines=BIT_EXACT_ENGINES):
     return [make_sim(cfg.with_engine(e)).run().canonical_digest() for e in engines]
 
 
-def _assert_equal(digests):
+def _assert_equal(digests, pinned=None):
     assert len(set(digests)) == 1, (
         "engines diverged: " + ", ".join(
             f"{e}={d[:12]}" for e, d in zip(BIT_EXACT_ENGINES, digests)
         )
     )
+    if pinned is not None:
+        assert digests[0] == PINNED_DIGESTS[pinned], (
+            f"{pinned}: both engines moved to {digests[0][:12]}"
+        )
+
+
+#: absolute canonical digests of TestEngineDifferential scenarios (the
+#: same on both bit-exact engines); any change to them is a behaviour
+#: change, even when reference and fast still agree
+PINNED_DIGESTS = {
+    "base_drop": "1797630e71f42d4be34b6e491121b491070405a904f2c8771991f431a47627c4",
+    "base_drain": "584c17e0e2fb47eb33082bb8bacc7b8d4798ea22dfd838f4d43fbe734acd0051",
+    "base_mid_grant_3": "a08feeae30d7a93c73f6fcf4e845157abed65cc1c2415c96f2b6868f99327e60",
+    "base_mid_grant_11": "c6d31d1d31b85a2efc508cc70bd035e70e2bfddf3c4c8fcee71a49220d9402c1",
+    "vc_uniform": "d9ef8f61a68e7a95adc4bb4922fbbc7393b2cdb41c4e114829e3e2ad1fc324f0",
+    "vc_hotspot": "cbcb95868c83a53803753fd619f244ee25e33ab53ad7bb56ad0aa819771ae194",
+    "vc_duato": "70955ca2853731f76bc3e432396a9db74454c2b577292afc972d8e462f4140f4",
+    "vc_faults": "e4de1ef29bba13a809afcc2ff719b695bd959bc2204de8e084730421c0dca733",
+}
 
 
 def _fault_runtime(topo, policy="drop", rng=42, window=(800, 2_200)):
@@ -201,7 +225,7 @@ class TestEngineDifferential:
             sim.attach_faults(_fault_runtime(topo, policy))
             return sim
 
-        _assert_equal(_digests(make, cfg))
+        _assert_equal(_digests(make, cfg), pinned=f"base_{policy}")
 
     @pytest.mark.parametrize("rng", [3, 11])
     def test_base_fault_mid_grant_window(self, net, cfg, rng):
@@ -217,13 +241,14 @@ class TestEngineDifferential:
             )
             return sim
 
-        _assert_equal(_digests(make, cfg))
+        _assert_equal(_digests(make, cfg), pinned=f"base_mid_grant_{rng}")
 
     def test_vc_replicate_uniform(self, net, cfg):
         """The VC engine's reference and fast paths agree bit-for-bit."""
         _topo, routing = net
         _assert_equal(
-            _digests(lambda c: VirtualChannelSimulator(routing, c, num_vcs=2), cfg)
+            _digests(lambda c: VirtualChannelSimulator(routing, c, num_vcs=2), cfg),
+            pinned="vc_uniform",
         )
 
     def test_vc_replicate_hotspot(self, net, cfg):
@@ -235,14 +260,16 @@ class TestEngineDifferential:
                     routing, c, num_vcs=2, traffic=traffic
                 ),
                 cfg,
-            )
+            ),
+            pinned="vc_hotspot",
         )
 
     def test_vc_duato(self, net, cfg):
         topo, routing = net
         duato = build_duato_routing(topo, routing)
         _assert_equal(
-            _digests(lambda c: VirtualChannelSimulator(duato, c, num_vcs=3), cfg)
+            _digests(lambda c: VirtualChannelSimulator(duato, c, num_vcs=3), cfg),
+            pinned="vc_duato",
         )
 
     def test_vc_with_fault_schedule(self, net, cfg):
@@ -253,7 +280,7 @@ class TestEngineDifferential:
             sim.attach_faults(_fault_runtime(topo, "drain"))
             return sim
 
-        _assert_equal(_digests(make, cfg))
+        _assert_equal(_digests(make, cfg), pinned="vc_faults")
 
     def test_length_mix_and_bounded_queues(self, net):
         """Length mixes and finite queues exercise extra RNG draws."""
@@ -296,12 +323,19 @@ def _small_net(n, ports, rng):
     return topo, build_down_up_routing(topo, rng=7)
 
 
-@settings(
+@functools.lru_cache(maxsize=32)
+def _small_duato(net):
+    topo, routing = _small_net(*net)
+    return build_duato_routing(topo, routing)
+
+
+_RANDOM_SETTINGS = settings(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(
+#: the scenario space shared by the base and VC random differential tests
+_RANDOM_SCENARIO = dict(
     net=st.tuples(
         st.integers(6, 14), st.sampled_from([3, 4]), st.integers(0, 3)
     ),
@@ -314,18 +348,16 @@ def _small_net(n, ports, rng):
     faults=st.sampled_from([None, "drop", "drain"]),
     seed=st.integers(0, 2**31 - 1),
 )
-# a drain truncation leaves a fragment whose empty tail channel must be
-# released in the same clock although none of its flits can move
-@example(
-    net=(6, 3, 0), load=1.0, length=3, buffer_flits=1, header_delay=0,
-    policy="random", hotspot=False, faults="drain", seed=0,
-)
-def test_random_scenarios_fast_matches_reference(
-    net, load, length, buffer_flits, header_delay, policy, hotspot, faults,
-    seed,
+
+
+def _assert_random_scenario(
+    build, net, load, length, buffer_flits, header_delay, policy, hotspot,
+    faults, seed,
 ):
-    """Reference and fast agree on random small scenarios, and the fast
-    path's parked requests stay blocked on busy, registered resources."""
+    """Run one drawn scenario on both bit-exact engines, invariants on.
+
+    ``build(routing, config, traffic)`` constructs the simulator.
+    """
     topo, routing = _small_net(*net)
     cfg = SimulationConfig(
         packet_length=length,
@@ -353,7 +385,7 @@ def test_random_scenarios_fast_matches_reference(
             assume(False)  # this network cannot absorb the faults
 
     def make(c):
-        sim = WormholeSimulator(routing, c, traffic=traffic)
+        sim = build(routing, c, traffic)
         sim.enable_invariant_checks()
         if schedule is not None:
             ctrl = ReconfigurationController(
@@ -365,6 +397,61 @@ def test_random_scenarios_fast_matches_reference(
         return sim
 
     _assert_equal(_digests(make, cfg))
+
+
+@_RANDOM_SETTINGS
+@given(**_RANDOM_SCENARIO)
+# a drain truncation leaves a fragment whose empty tail channel must be
+# released in the same clock although none of its flits can move
+@example(
+    net=(6, 3, 0), load=1.0, length=3, buffer_flits=1, header_delay=0,
+    policy="random", hotspot=False, faults="drain", seed=0,
+)
+def test_random_scenarios_fast_matches_reference(
+    net, load, length, buffer_flits, header_delay, policy, hotspot, faults,
+    seed,
+):
+    """Reference and fast agree on random small scenarios, and the fast
+    path's parked requests stay blocked on busy, registered resources."""
+    _assert_random_scenario(
+        lambda r, c, t: WormholeSimulator(r, c, traffic=t),
+        net, load, length, buffer_flits, header_delay, policy, hotspot,
+        faults, seed,
+    )
+
+
+@_RANDOM_SETTINGS
+@given(vcs=st.sampled_from([1, 2, 3, "duato"]), **_RANDOM_SCENARIO)
+# the same drain truncation on the VC fast path: the fragment must not
+# be marked quiet before its empty tail VC is released
+@example(
+    vcs=2, net=(6, 3, 0), load=1.0, length=3, buffer_flits=1,
+    header_delay=0, policy="random", hotspot=False, faults="drain",
+    seed=2,
+)
+def test_random_vc_scenarios_fast_matches_reference(
+    vcs, net, load, length, buffer_flits, header_delay, policy, hotspot,
+    faults, seed,
+):
+    """The VC engine's reference and fast paths agree on the same random
+    scenarios: 1-3 replicated VCs, or Duato routing on 3 VCs (fault-free
+    only — ``attach_faults`` refuses the Duato policy)."""
+    if vcs == "duato":
+        assume(faults is None)
+
+        def build(r, c, t):
+            return VirtualChannelSimulator(
+                _small_duato(net), c, num_vcs=3, traffic=t
+            )
+    else:
+
+        def build(r, c, t):
+            return VirtualChannelSimulator(r, c, num_vcs=vcs, traffic=t)
+
+    _assert_random_scenario(
+        build, net, load, length, buffer_flits, header_delay, policy,
+        hotspot, faults, seed,
+    )
 
 
 def _small_cfg(**overrides):

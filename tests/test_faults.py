@@ -9,6 +9,8 @@ reproducibility of a seeded fault campaign.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -282,7 +284,9 @@ class TestRemap:
 # ---------------------------------------------------------------------------
 # engineered single-packet scenarios (deterministic)
 # ---------------------------------------------------------------------------
-def _single_packet_sim(routing, length=16, max_stall=None):
+def _single_packet_sim(
+    routing, length=16, max_stall=None, engine=WormholeSimulator
+):
     cfg = SimulationConfig(
         packet_length=length,
         injection_rate=0.0,
@@ -292,7 +296,7 @@ def _single_packet_sim(routing, length=16, max_stall=None):
         deadlock_interval=500,
         max_stall_clocks=max_stall,
     )
-    sim = WormholeSimulator(routing, cfg)
+    sim = engine(routing, cfg)
     sim.stats.active = True
     sim.enable_invariant_checks()
     return sim
@@ -406,14 +410,20 @@ class TestDropRetryReconfigure:
         assert sim.stats.retries == 0
         assert sim.stats.delivered_packets == 0
 
-    def test_stall_raises_livelock_suspected(self, line3):
+    @pytest.mark.parametrize(
+        "engine",
+        [WormholeSimulator, functools.partial(VirtualChannelSimulator, num_vcs=1)],
+        ids=["base", "vc1"],
+    )
+    def test_stall_raises_livelock_suspected(self, line3, engine):
+        """Both engines share one stall watchdog."""
         routing = fixed_path_routing(line3, {(0, 2): [0, 1, 2]})
         sched = FaultSchedule(
             line3,
             [FaultEvent(cycle=1, kind="link_down", link=(1, 2))],
             check=False,
         )
-        sim = _single_packet_sim(routing, 8, max_stall=60)
+        sim = _single_packet_sim(routing, 8, max_stall=60, engine=engine)
         sim.attach_faults(FaultRuntime(sched, controller=None, retry=None))
         sim._fault_requeue(0, 2, 8, logical_id=0, attempts=0, t_gen=0)
         with pytest.raises(LivelockSuspected, match="worm dump"):

@@ -10,8 +10,8 @@ from repro.routing.duato import (
 )
 from repro.routing.updown import build_up_down_routing
 from repro.simulator import (
+    DeadlockDetected,
     SimulationConfig,
-    VcDeadlockDetected,
     VirtualChannelSimulator,
     simulate,
     simulate_vc,
@@ -143,7 +143,7 @@ class TestDeadlockBehaviour:
             warmup_clocks=0, measure_clocks=50_000, seed=3,
             deadlock_interval=500,
         )
-        with pytest.raises(VcDeadlockDetected):
+        with pytest.raises(DeadlockDetected):
             simulate_vc(routing, cfg, num_vcs=1, traffic=traffic)
 
     def test_duato_escape_prevents_adaptive_deadlock(self, ring6):
