@@ -1,63 +1,40 @@
 """Construction-cache benchmark and perf-regression gate.
 
 Measures what the content-addressed artifact cache
-(:mod:`repro.experiments.artifacts`) eliminates: before it, every work
-unit of a parallel campaign rebuilt its (topology, tree, routing) tuple
-from the preset seed — once per offered load, per algorithm, per
-method, per sample.  The benchmark replays exactly that unit schedule
-for a Figure-8 port configuration, cold (no cache: every replay
-rebuilds, the pre-cache behaviour) versus warm (one shared cache: the
-first replay builds and publishes, the rest are checksum-verified disk
-loads and in-process LRU hits), asserting byte-identical routing tables
-while doing so — a speedup against diverging constructions would be
-meaningless.
+(:mod:`repro.experiments.artifacts`) eliminates: without it, every work
+unit of a campaign rebuilds its (topology, tree, routing) tuple from the
+preset seed, once per offered load, algorithm, method and sample.  The
+benchmark replays that unit schedule for a Figure-8 port configuration
+cold (no cache: every replay rebuilds) against warm (one fresh shared
+cache: the first replay builds and publishes, the rest are
+checksum-verified disk loads and in-process LRU hits), and asserts per
+pair that the cache-served routing tables are byte-identical to the
+built ones.
 
-Timing methodology: CPU time (``time.process_time``) over paired
-adjacent cold/warm replays of the full unit schedule, reporting the
-median of the per-pair ratios (median of >=5 reps in full mode).
-Pairing bounds machine-noise impact; the ratio is dimensionless, so
-the committed baseline is portable across machines of different
-absolute speed.
-
-Usage::
-
-    python benchmarks/bench_construction_cache.py            # measure, print
-    python benchmarks/bench_construction_cache.py --write    # refresh baseline
-    python benchmarks/bench_construction_cache.py --check    # CI gate: fail on
-                                                             # >20% regression
-    python benchmarks/bench_construction_cache.py --quick    # smaller preset
-
-The committed baseline lives next to this script in
-``BENCH_construction_cache.json``.  Full mode runs the paper-lite
-Figure-8 4-port schedule (128 switches, 3 samples, 8 offered loads);
-quick mode (CI smoke) runs the ``quick`` preset.
+Full mode runs the paper-lite Figure-8 4-port schedule (128 switches,
+3 samples, 8 offered loads); quick mode (CI smoke) runs the ``quick``
+preset.  Pairing, the CLI and the baseline check are
+``benchmarks/gate.py``'s; the committed baseline is
+``BENCH_construction_cache.json``, one cell per section.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import shutil
-import statistics
-import sys
 import tempfile
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.experiments.artifacts import ArtifactCache  # noqa: E402
-from repro.experiments.configs import get_preset  # noqa: E402
-from repro.experiments.harness import (  # noqa: E402
+import gate  # also puts src/ on sys.path
+from repro.experiments.artifacts import ArtifactCache
+from repro.experiments.configs import get_preset
+from repro.experiments.harness import (
     PAPER_ALGORITHMS,
     PAPER_METHODS,
     build_routings,
     make_topology,
 )
-from repro.routing.serialization import routing_to_json  # noqa: E402
+from repro.routing.serialization import routing_to_json
 
 BASELINE = Path(__file__).resolve().parent / "BENCH_construction_cache.json"
-REGRESSION_TOLERANCE = 0.20  # CI fails if ratio drops >20% below baseline
 
 
 def replay_schedule(preset, ports: int, cache):
@@ -86,134 +63,50 @@ def replay_schedule(preset, ports: int, cache):
     return last
 
 
-def one_pair(preset, ports: int):
-    """One paired cold/warm replay of the Figure-8 unit schedule.
-
-    Returns ``(t_cold, t_warm)`` CPU seconds.  Raises when any
-    cache-served routing differs from its freshly built twin.
-    """
-    t0 = time.process_time()
-    ref = replay_schedule(preset, ports, cache=None)
-    t_cold = time.process_time() - t0
-
-    store = Path(tempfile.mkdtemp(prefix="bench_construction_cache_"))
-    try:
-        t0 = time.process_time()
-        got = replay_schedule(preset, ports, ArtifactCache(store))
-        t_warm = time.process_time() - t0
-        for key, routing in ref.items():
-            if routing_to_json(got[key]) != routing_to_json(routing):
-                raise AssertionError(
-                    f"cache-served routing diverged from built one: {key} "
-                    f"— run tests/test_artifacts.py for a minimal repro"
-                )
-    finally:
-        shutil.rmtree(store)
-    return t_cold, t_warm
-
-
-def run_benchmarks(quick: bool = False) -> dict:
+def run_benchmarks(quick: bool = False):
     preset = get_preset("quick" if quick else "paperlite")
     ports = 4
     reps = 3 if quick else 5
     rates = preset.rates_for(ports)
-    print(
-        f"scenario: {preset.name} ({preset.n_switches}sw/{ports}p, "
-        f"{preset.samples} sample(s), {len(rates)} offered loads), "
-        f"{reps} paired cold/warm replays",
-        flush=True,
+    print(f"scenario: {preset.name} ({preset.n_switches}sw/{ports}p, "
+          f"{preset.samples} sample(s), {len(rates)} offered loads), "
+          f"{reps} paired cold/warm replays", flush=True)
+
+    def warm():
+        with tempfile.TemporaryDirectory(prefix="bench_construction_cache_") as store:
+            return gate.cpu_time(
+                lambda: replay_schedule(preset, ports, ArtifactCache(Path(store)))
+            )
+
+    def identical(built, served):
+        for key, routing in built.items():
+            if routing_to_json(served[key]) != routing_to_json(routing):
+                raise AssertionError(
+                    f"cache-served routing diverged from built one: {key} "
+                    f"— run tests/test_artifacts.py for a minimal repro"
+                )
+
+    summary, cold_s, warm_s = gate.paired(
+        reps,
+        lambda: gate.cpu_time(replay_schedule, preset, ports, None),
+        warm,
+        identical,
+        metric="ratio",
     )
-    ratios, colds, warms = [], [], []
-    for i in range(reps):
-        t_cold, t_warm = one_pair(preset, ports)
-        ratios.append(t_cold / t_warm)
-        colds.append(t_cold)
-        warms.append(t_warm)
-        print(
-            f"  rep {i + 1}: cold {t_cold:.3f}s, warm {t_warm:.3f}s "
-            f"-> {t_cold / t_warm:.2f}x",
-            flush=True,
-        )
-    result = {
-        "mode": "quick" if quick else "full",
-        "scenario": {
-            "preset": preset.name,
-            "switches": preset.n_switches,
-            "ports": ports,
-            "samples": preset.samples,
-            "unit_replays": len(rates),
-        },
-        "construction": {
-            "ratio_median": round(statistics.median(ratios), 3),
-            "ratio_min": round(min(ratios), 3),
-            "ratio_max": round(max(ratios), 3),
-            "cold_median_s": round(statistics.median(colds), 3),
-            "warm_median_s": round(statistics.median(warms), 3),
-            "reps": reps,
-        },
+    cell = {**summary, "cold_median_s": cold_s, "warm_median_s": warm_s, "reps": reps}
+    print(f"  median: {cell['ratio_median']}x lower construction time "
+          f"(cold {cold_s}s vs warm {warm_s}s)", flush=True)
+    scenario = {
+        "preset": preset.name,
+        "switches": preset.n_switches,
+        "ports": ports,
+        "samples": preset.samples,
+        "unit_replays": len(rates),
     }
-    c = result["construction"]
-    print(
-        f"  median: {c['ratio_median']}x lower construction time "
-        f"(cold {c['cold_median_s']}s vs warm {c['warm_median_s']}s)",
-        flush=True,
-    )
-    return result
-
-
-def check(results: dict) -> int:
-    """Compare the measured ratio against the committed baseline.
-
-    Quick runs gate against the quick baseline section: the smaller
-    preset amortizes per-entry overhead over less construction work and
-    measures a systematically different ratio."""
-    if not BASELINE.exists():
-        print(f"no baseline at {BASELINE}; run with --write first")
-        return 2
-    baseline = json.loads(BASELINE.read_text())
-    section = (
-        "construction_quick" if results["mode"] == "quick" else "construction"
-    )
-    if section not in baseline:
-        print(
-            f"baseline has no {section!r} section; run --write "
-            f"{'--quick' if section.endswith('quick') else ''}"
-        )
-        return 2
-    base = baseline[section]["ratio_median"]
-    got = results["construction"]["ratio_median"]
-    floor = base * (1 - REGRESSION_TOLERANCE)
-    status = "ok" if got >= floor else "REGRESSION"
-    print(
-        f"  cache speedup: measured {got}x vs baseline {base}x "
-        f"(floor {floor:.2f}x) -> {status}"
-    )
-    return 0 if got >= floor else 1
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--write", action="store_true",
-                    help="write results as the new committed baseline")
-    ap.add_argument("--check", action="store_true",
-                    help="exit non-zero if the cache speedup regressed "
-                    ">20%% vs baseline")
-    ap.add_argument("--quick", action="store_true",
-                    help="smaller preset (CI smoke; noisier)")
-    args = ap.parse_args(argv)
-    results = run_benchmarks(quick=args.quick)
-    if args.write:
-        merged = json.loads(BASELINE.read_text()) if BASELINE.exists() else {}
-        key = "construction_quick" if args.quick else "construction"
-        merged[key] = results["construction"]
-        merged[f"{key}_scenario"] = results["scenario"]
-        BASELINE.write_text(json.dumps(merged, indent=2) + "\n")
-        print(f"baseline ({key}) written to {BASELINE}")
-        return 0
-    if args.check:
-        return check(results)
-    return 0
+    return cell, {f"construction{'_quick' if quick else ''}_scenario": scenario}
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        gate.main(BASELINE, run_benchmarks, "construction", metric="ratio")
+    )

@@ -2,57 +2,32 @@
 
 Measures the clock-loop speedup of the active-set / decision-cache fast
 path over the seed reference step implementations on the standard
-scenario (64 switches, 4 ports, 128-flit packets, 0.3 injection rate)
-and asserts bit-identity of the results while doing so — a speedup
-measured against a diverging simulation would be meaningless.
+scenario (64 switches, 4 ports, 128-flit packets, 0.3 injection rate),
+for the base engine and the 2-VC engine, and asserts per pair that both
+runs give the same digest: a speedup measured against a diverging
+simulation would be meaningless.
 
-Timing methodology: CPU time (``time.process_time``) over paired
-adjacent reference/fast runs, reporting the median of the per-pair
-ratios.  Pairing bounds the impact of machine noise: both runs of a
-pair see roughly the same interference, and the median discards
-outlier pairs entirely.
-
-Usage::
-
-    python benchmarks/bench_engine_fastpath.py            # measure, print
-    python benchmarks/bench_engine_fastpath.py --write    # refresh baseline
-    python benchmarks/bench_engine_fastpath.py --check    # CI gate: fail on
-                                                          # >20% regression
-    python benchmarks/bench_engine_fastpath.py --quick    # fewer/shorter runs
-
-The committed baseline lives next to this script in
-``BENCH_engine_fastpath.json``.  The CI gate compares *speedup ratios*
-(dimensionless, per-pair), not wall/CPU times, so it is portable across
-machines of different absolute speed.
+Pairing, the CLI and the baseline check are ``benchmarks/gate.py``'s;
+the committed baseline is ``BENCH_engine_fastpath.json``.  Quick runs
+amortize setup over fewer clocks and measure systematically lower
+speedups, so they gate against their own section.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import statistics
-import sys
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.core.downup import build_down_up_routing  # noqa: E402
-from repro.simulator import (  # noqa: E402
-    SimulationConfig,
-    VirtualChannelSimulator,
-    WormholeSimulator,
-)
-from repro.topology.generator import random_irregular_topology  # noqa: E402
+import gate  # also puts src/ on sys.path
+from repro.core.downup import build_down_up_routing
+from repro.simulator import SimulationConfig, VirtualChannelSimulator, WormholeSimulator
+from repro.topology.generator import random_irregular_topology
 
 BASELINE = Path(__file__).resolve().parent / "BENCH_engine_fastpath.json"
-REGRESSION_TOLERANCE = 0.20  # CI fails if speedup drops >20% below baseline
 
 
 def standard_scenario(quick: bool = False):
     """The acceptance scenario: 64 switches, 0.3 load, 128-flit worms."""
-    topo = random_irregular_topology(64, 4, rng=64)
-    routing = build_down_up_routing(topo, rng=7)
+    routing = build_down_up_routing(random_irregular_topology(64, 4, rng=64), rng=7)
     cfg = SimulationConfig(
         packet_length=128,
         injection_rate=0.3,
@@ -60,114 +35,51 @@ def standard_scenario(quick: bool = False):
         measure_clocks=2_000 if quick else 5_000,
         seed=7,
     )
-    return topo, routing, cfg
+    return routing, cfg
 
 
-def _timed_run(make_sim, cfg):
-    sim = make_sim(cfg)
-    t0 = time.process_time()
-    stats = sim.run()
-    return time.process_time() - t0, stats.canonical_digest()
-
-
-def measure(make_sim, cfg, pairs: int):
+def measure(make_sim, cfg, pairs: int) -> dict:
     """Median per-pair speedup of fast over reference; asserts identity."""
-    ratios = []
-    for _ in range(pairs):
-        t_ref, d_ref = _timed_run(make_sim, cfg.with_engine("reference"))
-        t_fast, d_fast = _timed_run(make_sim, cfg.with_engine("fast"))
-        if d_ref != d_fast:
+
+    def side(engine):
+        return lambda: gate.cpu_time(make_sim(cfg.with_engine(engine)).run)
+
+    def identical(ref, fast):
+        if ref.canonical_digest() != fast.canonical_digest():
             raise AssertionError(
                 "fast path diverged from the reference engine — "
                 "run tests/test_engine_equivalence.py for a minimal repro"
             )
-        ratios.append(t_ref / t_fast)
-    return {
-        "speedup_median": round(statistics.median(ratios), 3),
-        "speedup_min": round(min(ratios), 3),
-        "speedup_max": round(max(ratios), 3),
-        "pairs": pairs,
-    }
+
+    summary, _, _ = gate.paired(pairs, side("reference"), side("fast"), identical)
+    return {**summary, "pairs": pairs}
 
 
-def run_benchmarks(quick: bool = False) -> dict:
-    _topo, routing, cfg = standard_scenario(quick)
+def run_benchmarks(quick: bool = False):
+    routing, cfg = standard_scenario(quick)
     pairs = 3 if quick else 8
-    results = {
-        "mode": "quick" if quick else "full",
-        "scenario": {
-            "switches": 64,
-            "ports": 4,
-            "packet_length": cfg.packet_length,
-            "injection_rate": cfg.injection_rate,
-            "measure_clocks": cfg.measure_clocks,
-            "seed": cfg.seed,
-        },
-        "engines": {},
+    scenario = {
+        "switches": 64,
+        "ports": 4,
+        "packet_length": cfg.packet_length,
+        "injection_rate": cfg.injection_rate,
+        "measure_clocks": cfg.measure_clocks,
+        "seed": cfg.seed,
     }
     print(f"scenario: 64sw/4p, load 0.3, {cfg.measure_clocks} clocks, "
           f"{pairs} paired runs per engine", flush=True)
-    r = measure(lambda c: WormholeSimulator(routing, c), cfg, pairs)
-    results["engines"]["base"] = r
-    print(f"  base engine: median {r['speedup_median']}x "
-          f"(min {r['speedup_min']}, max {r['speedup_max']})", flush=True)
-    r = measure(
-        lambda c: VirtualChannelSimulator(routing, c, num_vcs=2), cfg, pairs
-    )
-    results["engines"]["vc"] = r
-    print(f"  vc engine (V=2): median {r['speedup_median']}x "
-          f"(min {r['speedup_min']}, max {r['speedup_max']})", flush=True)
-    return results
-
-
-def check(results: dict) -> int:
-    """Compare measured speedups against the committed baseline.
-
-    Quick runs are gated against the quick baseline section (shorter
-    runs measure systematically lower speedups — setup is amortized
-    over fewer clocks — so they need their own reference point)."""
-    if not BASELINE.exists():
-        print(f"no baseline at {BASELINE}; run with --write first")
-        return 2
-    baseline = json.loads(BASELINE.read_text())
-    section = "engines_quick" if results["mode"] == "quick" else "engines"
-    if section not in baseline:
-        print(f"baseline has no {section!r} section; "
-              f"run --write {'--quick' if section.endswith('quick') else ''}")
-        return 2
-    failed = False
-    for engine, base in baseline[section].items():
-        got = results["engines"][engine]["speedup_median"]
-        floor = base["speedup_median"] * (1 - REGRESSION_TOLERANCE)
-        status = "ok" if got >= floor else "REGRESSION"
-        failed |= got < floor
-        print(f"  {engine}: measured {got}x vs baseline "
-              f"{base['speedup_median']}x (floor {floor:.2f}x) -> {status}")
-    return 1 if failed else 0
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--write", action="store_true",
-                    help="write results as the new committed baseline")
-    ap.add_argument("--check", action="store_true",
-                    help="exit non-zero if speedup regressed >20%% vs baseline")
-    ap.add_argument("--quick", action="store_true",
-                    help="shorter runs (CI smoke; noisier)")
-    args = ap.parse_args(argv)
-    results = run_benchmarks(quick=args.quick)
-    if args.write:
-        merged = json.loads(BASELINE.read_text()) if BASELINE.exists() else {}
-        merged.setdefault("scenario", results["scenario"])
-        key = "engines_quick" if args.quick else "engines"
-        merged[key] = results["engines"]
-        BASELINE.write_text(json.dumps(merged, indent=2) + "\n")
-        print(f"baseline ({key}) written to {BASELINE}")
-        return 0
-    if args.check:
-        return check(results)
-    return 0
+    makers = {
+        "base": lambda c: WormholeSimulator(routing, c),
+        "vc": lambda c: VirtualChannelSimulator(routing, c, num_vcs=2),
+    }
+    engines = {}
+    for name, make_sim in makers.items():
+        r = engines[name] = measure(make_sim, cfg, pairs)
+        print(f"  {name} engine: median {r['speedup_median']}x "
+              f"(min {r['speedup_min']}, max {r['speedup_max']})", flush=True)
+    # the scenario records the full run length, so a quick write keeps it
+    return engines, {} if quick else {"scenario": scenario}
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(gate.main(BASELINE, run_benchmarks, "engines"))

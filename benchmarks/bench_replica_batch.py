@@ -2,76 +2,42 @@
 
 Measures the aggregate-throughput speedup of the fused replica driver
 (:func:`repro.simulator.replica_batch.run_replicated`) over R
-*sequential* ``engine="batch"`` runs of the same seeds, on the
-acceptance scenario the PR contract names: 64 switches / 8 ports,
-R = 16 seed replicas.
+*sequential* ``engine="batch"`` runs of the same seeds, on 64 switches
+/ 8 ports with R = 16 seed replicas.
 
 The matrix has two sections:
 
-* **design regime** (gated): packet length 512 at offered loads
-  {0.02, 0.03, 0.05} — the light-load/long-packet operating points a
-  many-seed certification sweep actually runs at, where the per-clock
-  dispatch wall the driver amortizes dominates and per-replica event
-  work (grants, drains, arbitration — identical work in both drivers)
-  is sparse.  The acceptance number is the median of these cells
-  (``speedup_median_design``); the PR contract requires it >= 4x.
+* **design regime**: packet length 512 at offered loads
+  {0.02, 0.03, 0.05}, the light-load/long-packet points a many-seed
+  certification sweep runs at, where the per-clock dispatch the driver
+  amortizes dominates.  Their median (``speedup_median_design``) must
+  reach 4x in full mode, on top of the regression gate.
 * **informational**: heavier points (packet length 128, loads up to
-  0.45) committed so the baseline documents the full shape.  As load
-  rises, scalar per-event arbitration — which the fused driver shares
-  with the sequential one — grows toward an Amdahl ceiling near 2.5x;
-  see ``docs/simulator.md`` for the breakdown.  These cells gate only
-  on regression (ratio vs committed baseline), not on an absolute
-  floor.
+  0.45).  There scalar per-event arbitration, which both drivers share,
+  grows toward an Amdahl ceiling near 2.5x (see ``docs/simulator.md``),
+  so these cells gate only on regression.
 
-Every timed pair *also* asserts the determinism contract inline: the
-R per-replica ``statistical_fingerprint``s from the fused run must be
-identical, seed for seed, to the R sequential runs that provide the
-timing baseline.  A speedup over diverging replicas would be
-meaningless, so the packing-invariance check rides in the benchmark
-itself rather than only in the test suite.
+Every pair asserts packing invariance: the R fingerprints of the fused
+run equal, seed for seed, those of the R sequential runs.
 
-Timing methodology: CPU time (``time.process_time``) over adjacent
-fused/sequential pairs, interleaved so both see the same machine
-interference, reporting the median of per-pair ratios.  The CI gate
-compares speedup ratios (dimensionless), not absolute times, so it is
-portable across machines of different absolute speed.
-
-Usage::
-
-    python benchmarks/bench_replica_batch.py            # measure, print
-    python benchmarks/bench_replica_batch.py --write    # refresh baseline
-    python benchmarks/bench_replica_batch.py --check    # CI gate: fail on
-                                                        # >20% regression
-    python benchmarks/bench_replica_batch.py --quick    # fewer/shorter runs
-
-The committed baseline lives next to this script in
-``BENCH_replica_batch.json``.
+Pairing, the CLI and the baseline check are ``benchmarks/gate.py``'s;
+the committed baseline is ``BENCH_replica_batch.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import statistics
-import sys
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.core.downup import build_down_up_routing  # noqa: E402
-from repro.simulator import SimulationConfig, WormholeSimulator  # noqa: E402
-from repro.simulator.replica_batch import (  # noqa: E402
-    replica_seeds,
-    run_replicated,
-)
-from repro.topology.generator import random_irregular_topology  # noqa: E402
+import gate  # also puts src/ on sys.path
+from repro.core.downup import build_down_up_routing
+from repro.simulator import SimulationConfig, WormholeSimulator
+from repro.simulator.replica_batch import replica_seeds, run_replicated
+from repro.topology.generator import random_irregular_topology
 
 BASELINE = Path(__file__).resolve().parent / "BENCH_replica_batch.json"
-REGRESSION_TOLERANCE = 0.20  # CI fails if speedup drops >20% below baseline
 CONTRACT_MIN_SPEEDUP = 4.0  # design-regime acceptance floor (full mode)
 
-#: the acceptance scenario: 64sw/8p, 16 seed replicas
 SWITCHES, PORTS, REPLICAS = 64, 8, 16
 #: design-regime cells (gated on the >= 4x contract median)
 DESIGN_MATRIX = ((0.02, 512), (0.03, 512), (0.05, 512))
@@ -92,51 +58,43 @@ def _config(rate: float, pl: int, clocks: int) -> SimulationConfig:
 
 
 def measure(routing, rate: float, pl: int, clocks: int, pairs: int) -> dict:
-    """Median fused-over-sequential speedup for one scenario cell.
-
-    Each pair times one fused ``run_replicated`` against the R
-    sequential batch runs of the same seeds, and asserts the
-    per-replica fingerprints agree seed for seed (the packing
-    invariance the determinism contract promises).
-    """
+    """Median speedup of one fused run over R sequential ones for one cell."""
     cfg = _config(rate, pl, clocks)
     seeds = replica_seeds(cfg)
-    ratios = []
-    for _ in range(pairs):
-        t0 = time.process_time()
-        fused = run_replicated(routing, cfg)
-        t_fused = time.process_time() - t0
-        t0 = time.process_time()
-        sequential = [
-            WormholeSimulator(routing, cfg.with_seed(s)).run() for s in seeds
-        ]
-        t_seq = time.process_time() - t0
-        for r, (a, b) in enumerate(zip(fused, sequential)):
+
+    def sequential():
+        return [WormholeSimulator(routing, cfg.with_seed(s)).run() for s in seeds]
+
+    def packing_invariant(seq, fused):
+        for r, (a, b) in enumerate(zip(fused, seq)):
             if a.statistical_fingerprint() != b.statistical_fingerprint():
                 raise AssertionError(
                     f"replica packing changed replica {r}'s result at "
                     f"rate={rate} pl={pl} (seed {seeds[r]}): fused and "
                     "sequential fingerprints differ"
                 )
-        ratios.append(t_seq / t_fused)
-    return {
-        "rate": rate,
-        "packet_length": pl,
-        "replicas": REPLICAS,
-        "speedup_median": round(statistics.median(ratios), 3),
-        "speedup_min": round(min(ratios), 3),
-        "speedup_max": round(max(ratios), 3),
-        "pairs": pairs,
-    }
+
+    summary, _, _ = gate.paired(
+        pairs,
+        lambda: gate.cpu_time(sequential),
+        lambda: gate.cpu_time(run_replicated, routing, cfg),
+        packing_invariant,
+    )
+    return {"rate": rate, "packet_length": pl, "replicas": REPLICAS, **summary,
+            "pairs": pairs}
 
 
-def run_benchmarks(quick: bool = False) -> dict:
+def run_benchmarks(quick: bool = False):
     pairs = 2 if quick else 3
     clocks = 1_500 if quick else 4_500
-    design = DESIGN_MATRIX[:1] if quick else DESIGN_MATRIX
-    info = INFO_MATRIX[1:2] if quick else INFO_MATRIX
-    results = {
-        "mode": "quick" if quick else "full",
+    mode = "quick" if quick else "full"
+    routing = build_down_up_routing(random_irregular_topology(SWITCHES, PORTS, rng=7))
+    # prime the shared per-destination row cache (untimed) so the timed
+    # pairs measure the steady state a certification sweep runs in
+    prime_s, _ = gate.cpu_time(
+        WormholeSimulator(routing, _config(0.45, 128, clocks // 3)).run
+    )
+    extras = {
         "scenario": {
             "switches": SWITCHES,
             "ports": PORTS,
@@ -145,100 +103,36 @@ def run_benchmarks(quick: bool = False) -> dict:
             "info_matrix": [list(m) for m in INFO_MATRIX],
             "seed": 42,
         },
-        "engines": {},
+        f"prime_seconds_{mode}": round(prime_s, 3),
     }
-    topo = random_irregular_topology(SWITCHES, PORTS, rng=7)
-    routing = build_down_up_routing(topo)
-    # prime the shared per-destination row cache (untimed) so the timed
-    # pairs measure the steady state a certification sweep runs in
-    t0 = time.process_time()
-    WormholeSimulator(routing, _config(0.45, 128, clocks // 3)).run()
-    results["prime_seconds"] = round(time.process_time() - t0, 3)
-    print(
-        f"{SWITCHES}sw/{PORTS}p, R={REPLICAS}, {clocks} measured clocks, "
-        f"{pairs} paired runs per cell (fused vs {REPLICAS} sequential), "
-        f"rows primed in {results['prime_seconds']}s",
-        flush=True,
-    )
-    medians = []
-    for rate, pl in design:
-        r = measure(routing, rate, pl, clocks, pairs)
-        results["engines"][f"design_rate{rate}_pl{pl}"] = r
-        medians.append(r["speedup_median"])
-        print(f"  [design] rate={rate} pl={pl}: median {r['speedup_median']}x "
+    print(f"{SWITCHES}sw/{PORTS}p, R={REPLICAS}, {clocks} measured clocks, "
+          f"{pairs} paired runs per cell ({REPLICAS} sequential vs fused), "
+          f"rows primed in {extras[f'prime_seconds_{mode}']}s", flush=True)
+    cells = [("design", m) for m in (DESIGN_MATRIX[:1] if quick else DESIGN_MATRIX)]
+    cells += [("info", m) for m in (INFO_MATRIX[1:2] if quick else INFO_MATRIX)]
+    engines = {}
+    for kind, (rate, pl) in cells:
+        r = engines[f"{kind}_rate{rate}_pl{pl}"] = measure(routing, rate, pl, clocks, pairs)
+        print(f"  [{kind}] rate={rate} pl={pl}: median {r['speedup_median']}x "
               f"(min {r['speedup_min']}, max {r['speedup_max']})", flush=True)
-    for rate, pl in info:
-        r = measure(routing, rate, pl, clocks, pairs)
-        results["engines"][f"info_rate{rate}_pl{pl}"] = r
-        print(f"  [info]   rate={rate} pl={pl}: median {r['speedup_median']}x "
-              f"(min {r['speedup_min']}, max {r['speedup_max']})", flush=True)
-    results["speedup_median_design"] = round(statistics.median(medians), 3)
-    print(f"  design-regime acceptance median: "
-          f"{results['speedup_median_design']}x", flush=True)
-    return results
+    design = round(statistics.median(
+        r["speedup_median"] for name, r in engines.items() if name.startswith("design")
+    ), 3)
+    print(f"  design-regime acceptance median: {design}x", flush=True)
+    if not quick:
+        extras["speedup_median_design"] = design
+    return engines, extras
 
 
-def check(results: dict) -> int:
-    """Gate measured speedups against the committed baseline.
-
-    Quick runs gate against the quick baseline section (shorter runs
-    amortize setup over fewer clocks and are noisier, so they need
-    their own reference).  Full runs additionally enforce the absolute
-    >= 4x design-regime contract.
-    """
-    if not BASELINE.exists():
-        print(f"no baseline at {BASELINE}; run with --write first")
-        return 2
-    baseline = json.loads(BASELINE.read_text())
-    section = "engines_quick" if results["mode"] == "quick" else "engines"
-    if section not in baseline:
-        print(f"baseline has no {section!r} section; "
-              f"run --write {'--quick' if section.endswith('quick') else ''}")
-        return 2
-    failed = False
-    for scenario, base in baseline[section].items():
-        if scenario not in results["engines"]:
-            continue
-        got = results["engines"][scenario]["speedup_median"]
-        floor = base["speedup_median"] * (1 - REGRESSION_TOLERANCE)
-        status = "ok" if got >= floor else "REGRESSION"
-        failed |= got < floor
-        print(f"  {scenario}: measured {got}x vs baseline "
-              f"{base['speedup_median']}x (floor {floor:.2f}x) -> {status}")
-    if results["mode"] == "full":
-        got = results["speedup_median_design"]
-        status = "ok" if got >= CONTRACT_MIN_SPEEDUP else "BELOW CONTRACT"
-        failed |= got < CONTRACT_MIN_SPEEDUP
-        print(f"  design-regime median: {got}x vs contract "
-              f"{CONTRACT_MIN_SPEEDUP}x -> {status}")
-    return 1 if failed else 0
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--write", action="store_true",
-                    help="write results as the new committed baseline")
-    ap.add_argument("--check", action="store_true",
-                    help="exit non-zero if speedup regressed >20%% vs baseline")
-    ap.add_argument("--quick", action="store_true",
-                    help="shorter runs (CI smoke; noisier)")
-    args = ap.parse_args(argv)
-    results = run_benchmarks(quick=args.quick)
-    if args.write:
-        merged = json.loads(BASELINE.read_text()) if BASELINE.exists() else {}
-        merged.setdefault("scenario", results["scenario"])
-        key = "engines_quick" if args.quick else "engines"
-        merged[key] = results["engines"]
-        merged[f"prime_seconds_{results['mode']}"] = results["prime_seconds"]
-        if not args.quick:
-            merged["speedup_median_design"] = results["speedup_median_design"]
-        BASELINE.write_text(json.dumps(merged, indent=2) + "\n")
-        print(f"baseline ({key}) written to {BASELINE}")
-        return 0
-    if args.check:
-        return check(results)
-    return 0
+def contract(extras: dict, quick: bool) -> bool:
+    """Full runs must keep the design-regime median at 4x or more."""
+    if quick:
+        return True
+    got = extras["speedup_median_design"]
+    print(f"  design-regime median: {got}x vs contract {CONTRACT_MIN_SPEEDUP}x -> "
+          f"{'ok' if got >= CONTRACT_MIN_SPEEDUP else 'BELOW CONTRACT'}")
+    return got >= CONTRACT_MIN_SPEEDUP
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(gate.main(BASELINE, run_benchmarks, "engines", contract=contract))

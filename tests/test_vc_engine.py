@@ -112,6 +112,17 @@ class TestLinkMultiplexing:
         vc2 = simulate_vc(r, cfg, num_vcs=2)
         assert vc2.accepted_traffic >= 0.95 * base.accepted_traffic
 
+    def test_vcs_increase_saturation_throughput(self):
+        """2 VCs accept at least as much traffic as 1 VC at saturation."""
+        routing = build_down_up_routing(random_irregular_topology(32, 4, rng=17))
+        cfg = SimulationConfig(
+            packet_length=16, injection_rate=1.0,
+            warmup_clocks=500, measure_clocks=2_000, seed=17,
+        )
+        one = simulate_vc(routing, cfg, num_vcs=1)
+        two = simulate_vc(routing, cfg, num_vcs=2)
+        assert two.accepted_traffic >= one.accepted_traffic
+
 
 class TestDeadlockBehaviour:
     def test_replicate_verified_routing_never_deadlocks(self):
