@@ -68,9 +68,9 @@ class DeadlockFreedomCertificate:
 
     def payload(self) -> Dict[str, object]:
         return {
-            "order": list(self.order),
-            "released_turns": [list(t) for t in self.released_turns],
-            "released_pairs": [list(p) for p in self.released_pairs],
+            "order": self.order,
+            "released_turns": self.released_turns,
+            "released_pairs": self.released_pairs,
         }
 
 
@@ -81,9 +81,7 @@ class ConnectivityCertificate:
     witnesses: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
 
     def payload(self) -> Dict[str, object]:
-        return {
-            "witnesses": [[s, d, list(path)] for s, d, path in self.witnesses]
-        }
+        return {"witnesses": self.witnesses}
 
 
 @dataclass(frozen=True)
@@ -103,8 +101,8 @@ class ProgressCertificate:
     def payload(self) -> Dict[str, object]:
         return {
             "unreachable": self.unreachable,
-            "dist": [list(row) for row in self.dist],
-            "witnesses": [list(w) for w in self.witnesses],
+            "dist": self.dist,
+            "witnesses": self.witnesses,
         }
 
 
@@ -126,20 +124,25 @@ class CertificateBundle:
     digest: str = field(default="", compare=False)
 
     def payload(self) -> Dict[str, object]:
-        """The JSON-able dict form (digest included when stamped)."""
+        """The JSON-able dict form (digest included when stamped).
+
+        The sections are the bundle's own tuples, not copies: the JSON
+        encoder writes a tuple exactly as it writes a list, so the
+        canonical bytes (and the digest) are those of the list form,
+        and the tuples are immutable, so sharing them is safe.
+        """
         out: Dict[str, object] = {
             "format": CERT_FORMAT,
             "algorithm": self.algorithm,
             "n": self.n,
-            "links": [list(l) for l in self.links],
-            "channel_class": list(self.channel_class),
-            "class_names": list(self.class_names),
-            "base_allowed": [list(row) for row in self.base_allowed],
+            "links": self.links,
+            "channel_class": self.channel_class,
+            "class_names": self.class_names,
+            "base_allowed": self.base_allowed,
             "node_overrides": {
-                str(v): [list(row) for row in m]
-                for v, m in sorted(self.node_overrides.items())
+                str(v): m for v, m in sorted(self.node_overrides.items())
             },
-            "pair_exceptions": [list(p) for p in self.pair_exceptions],
+            "pair_exceptions": self.pair_exceptions,
             "deadlock": self.deadlock.payload(),
             "connectivity": self.connectivity.payload(),
             "progress": self.progress.payload(),

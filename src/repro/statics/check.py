@@ -6,13 +6,14 @@ and, via :func:`check_existence_report`, a
 facts the artifact itself carries: the topology's link list and the
 turn prohibitions (class matrices, per-node overrides, channel-pair
 releases).  It deliberately imports **nothing** from
-:mod:`repro.routing`, :mod:`repro.core` or any other construction code
-— channels are re-derived here from the documented id convention (link
-``k`` joining ``u < v`` yields channel ``2k`` = ``<u, v>`` and ``2k+1``
-= ``<v, u>``), and the allowed-turn predicate is re-implemented from
-the matrices directly.  A bug in the builders' shared traversal code
-(``channel_graph``, ``cycle_detection``, ``existence``) therefore
-cannot self-certify: the certificate it emits would fail here.
+:mod:`repro.routing`, :mod:`repro.core` or any other ``repro`` module
+(lint rule ``STA008``) — channels are re-derived here from the
+documented id convention (link ``k`` joining ``u < v`` yields channel
+``2k`` = ``<u, v>`` and ``2k+1`` = ``<v, u>``), and the allowed-turn
+predicate is re-implemented from the matrices directly.  A bug in the
+builders' shared traversal code (``channel_graph``,
+``cycle_detection``, ``existence``) therefore cannot self-certify: the
+certificate it emits would fail here.
 
 Each check is intentionally trivial (the certifying-algorithms
 discipline):
@@ -22,20 +23,30 @@ discipline):
 * **connectivity** — every ordered switch pair has a witness path, and
   walking it crosses only allowed turns;
 * **progress** — distances are locally consistent (zero exactly at the
-  destination) and every en-route state has a strictly-decreasing,
-  allowed witness hop;
+  destination) and every en-route state has exactly one
+  strictly-decreasing, allowed witness hop;
 * **integrity** — the SHA-256 digest matches the canonical payload.
 
-All failures are collected into a :class:`CheckReport`; :func:`recheck`
-raises :class:`CertificateError` on the first bad report.
+The allowed predicate is evaluated once per candidate turn into a
+boolean ``(C, C)`` turn matrix, and each claim is then one linear pass
+over its section written as numpy array operations: a mask per rule,
+over every dependency edge, witness-path turn or ``(dest, channel)``
+state at once.  Messages are formatted only for the entries a mask
+flags, in input order.  A section that does not parse is a
+``malformed`` failure, never an exception.  All failures are collected
+into a :class:`CheckReport`; :func:`recheck` raises
+:class:`CertificateError` on the first bad report.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 _FORMAT = "repro-cert-v1"
 _EXIST_FORMAT = "repro-exist-v1"
@@ -115,10 +126,21 @@ class _RawFacts:
 
     Shared by certificate and existence-report checking — both artifact
     kinds carry the same raw-facts field layout, and the rebuild is
-    pure fact validation (no claim is endorsed here).
+    pure fact validation (no claim is endorsed here).  ``start`` and
+    ``sink`` are lists for the scalar predicate; ``start_arr`` and
+    ``sink_arr`` hold the same ids for the array passes.
     """
 
-    __slots__ = ("n", "num_channels", "start", "sink", "out_channels", "allowed")
+    __slots__ = (
+        "n",
+        "num_channels",
+        "start",
+        "sink",
+        "out_channels",
+        "allowed",
+        "start_arr",
+        "sink_arr",
+    )
 
     def __init__(
         self,
@@ -135,6 +157,8 @@ class _RawFacts:
         self.sink = sink
         self.out_channels = out_channels
         self.allowed = allowed
+        self.start_arr = np.array(start, dtype=np.int64)
+        self.sink_arr = np.array(sink, dtype=np.int64)
 
 
 def _check_raw_facts(
@@ -231,6 +255,294 @@ def _check_raw_facts(
     return _RawFacts(n, num_channels, start, sink, out_channels, allowed)
 
 
+#: what parsing a malformed claim section raises (missing key, wrong
+#: container, a non-integer entry, an entry beyond int64)
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _int_array(values: Iterable[object], count: int = -1) -> np.ndarray:
+    """*values* as an int64 array, each entry converted as ``int()`` would."""
+    return np.fromiter(values, dtype=np.int64, count=count)
+
+
+def _int_rows(rows: Sequence[Sequence[object]], width: int) -> np.ndarray:
+    """Fixed-width integer rows (hop witnesses, relation edges) as an
+    ``(m, width)`` array."""
+    if set(map(len, rows)) - {width}:
+        raise ValueError(f"entries are not {width}-tuples of integers")
+    flat = _int_array(itertools.chain.from_iterable(rows), len(rows) * width)
+    return flat.reshape(-1, width)
+
+
+class _WitnessPaths:
+    """Witness paths ``(source, dest, channels)`` flattened into arrays.
+
+    ``flat`` holds every path's channels back to back: path ``i`` is
+    ``flat[offset[i]:offset[i] + length[i]]``, and ``owner[j]`` is the
+    path that position ``j`` of ``flat`` belongs to.
+    """
+
+    __slots__ = ("source", "dest", "length", "offset", "flat", "owner")
+
+    def __init__(self, entries: Sequence[Sequence[object]]):
+        if set(map(len, entries)) - {3}:
+            raise ValueError("witness entries are not (source, dest, path) triples")
+        sources, dests, paths = zip(*entries) if entries else ((), (), ())
+        count = len(entries)
+        lengths = list(map(len, paths))
+        ends = _int_array(itertools.accumulate(lengths, initial=0), count + 1)
+        self.source = _int_array(sources, count)
+        self.dest = _int_array(dests, count)
+        self.length = _int_array(lengths, count)
+        self.offset = ends[:-1]
+        self.flat = _int_array(itertools.chain.from_iterable(paths), int(ends[-1]))
+        self.owner = np.repeat(np.arange(count), self.length)
+
+
+def _allowed_turns(facts: _RawFacts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The allowed relation as edge arrays and as a boolean turn matrix.
+
+    The predicate is evaluated once per candidate turn (the successor
+    table); ``src``/``dst`` list its edges in that order, and
+    ``matrix[a, b]`` says whether a worm on ``a`` may request ``b``.
+    """
+    succ = _full_relation_adjacency(facts)
+    src = np.repeat(np.arange(facts.num_channels), [len(outs) for outs in succ])
+    dst = _int_array(itertools.chain.from_iterable(succ), src.size)
+    return src, dst, _turn_matrix(src, dst, facts.num_channels)
+
+
+def _turn_matrix(src: np.ndarray, dst: np.ndarray, num_channels: int) -> np.ndarray:
+    matrix = np.zeros((num_channels, num_channels), dtype=bool)
+    matrix[src, dst] = True
+    return matrix
+
+
+def _order_positions(order: np.ndarray, num_channels: int) -> Optional[np.ndarray]:
+    """``pos[c]`` is channel ``c``'s index in *order*; ``None`` unless
+    *order* is a permutation of the channels."""
+    if order.size != num_channels or np.count_nonzero(
+        (order < 0) | (order >= num_channels)
+    ):
+        return None
+    pos = np.full(num_channels, -1, dtype=np.int64)
+    pos[order] = np.arange(num_channels)
+    return None if np.count_nonzero(pos < 0) else pos
+
+
+def _first_occurrences(key: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Whether each entry is the first with its key; *counts* is
+    ``np.bincount(key)``.  Only keys that repeat, which no genuine
+    artifact has, are resolved one by one."""
+    first = np.ones(key.size, dtype=bool)
+    repeats = np.flatnonzero(counts[key] > 1)
+    seen: Set[int] = set()
+    for i, k in zip(repeats.tolist(), key[repeats].tolist()):
+        first[i] = k not in seen
+        seen.add(k)
+    return first
+
+
+def _walk_witness_paths(
+    paths: _WitnessPaths,
+    facts: _RawFacts,
+    turn_ok: np.ndarray,
+    off_turn: Callable[[Tuple[int, int], int, int], str],
+    report: CheckReport,
+) -> None:
+    """Every ordered switch pair has one witness path, and every turn on
+    it is one that *turn_ok* admits.
+
+    A certificate passes its allowed-turn matrix, an existence witness
+    its escape relation.  *off_turn* words the failure for a turn
+    between channels that meet at a switch but that the matrix does
+    not admit.  Only the first witness of a pair is walked, and only
+    valid pairs count toward ``witness_pairs``.
+    """
+    n, num_channels = facts.n, facts.num_channels
+    s, d, flat = paths.source, paths.dest, paths.flat
+    count = s.size
+    # the first witness of each pair is walked, later ones are
+    # duplicates; pairs off the switches share one spare slot (all of
+    # them fail) and are told apart when their messages are written
+    on_switches = (s >= 0) & (s < n) & (d >= 0) & (d < n)
+    key = np.where(on_switches, s * n + d, n * n)
+    first = _first_occurrences(key, np.bincount(key, minlength=n * n + 1))
+    valid = first & on_switches & (s != d)
+    empty = valid & (paths.length == 0)
+    unknown = np.zeros(count, dtype=bool)
+    unknown[paths.owner[(flat < 0) | (flat >= num_channels)]] = True
+    walk = valid & ~empty & ~unknown
+
+    bad_start = np.zeros(count, dtype=bool)
+    bad_end = np.zeros(count, dtype=bool)
+    head = paths.offset[walk]
+    bad_start[walk] = facts.start_arr[flat[head]] != s[walk]
+    bad_end[walk] = facts.sink_arr[flat[head + paths.length[walk] - 1]] != d[walk]
+
+    # turn j joins flat[j] -> flat[j + 1] when both lie on one walked path
+    inner = (paths.owner[:-1] == paths.owner[1:]) & walk[paths.owner[:-1]]
+    a, b = flat[:-1][inner], flat[1:][inner]
+    bad_turn = np.zeros(max(flat.size - 1, 0), dtype=bool)
+    bad_turn[inner] = (facts.sink_arr[a] != facts.start_arr[b]) | ~turn_ok[a, b]
+    broken = np.zeros(count, dtype=bool)
+    broken[paths.owner[:-1][bad_turn]] = True
+
+    flagged = ~valid | empty | unknown | bad_start | bad_end | broken
+    off_switches: Set[Tuple[int, int]] = set()
+    for i in np.flatnonzero(flagged)[:_MAX_FAILURES].tolist():
+        pair = (int(s[i]), int(d[i]))
+        if not on_switches[i]:
+            seen = pair in off_switches
+            off_switches.add(pair)
+            report.fail(
+                "connectivity",
+                f"duplicate witness for {pair}" if seen else f"invalid witness pair {pair}",
+            )
+        elif not first[i]:
+            report.fail("connectivity", f"duplicate witness for {pair}")
+        elif not valid[i]:
+            report.fail("connectivity", f"invalid witness pair {pair}")
+        elif empty[i]:
+            report.fail("connectivity", f"empty witness path for {pair}")
+        elif unknown[i]:
+            report.fail("connectivity", f"witness for {pair} uses an unknown channel")
+        else:
+            path = flat[paths.offset[i]:paths.offset[i] + paths.length[i]].tolist()
+            if bad_start[i]:
+                report.fail(
+                    "connectivity",
+                    f"witness for {pair} starts at switch "
+                    f"{facts.start[path[0]]}, not {pair[0]}",
+                )
+            if bad_end[i]:
+                report.fail(
+                    "connectivity",
+                    f"witness for {pair} ends at switch "
+                    f"{facts.sink[path[-1]]}, not {pair[1]}",
+                )
+            turns = bad_turn[paths.offset[i]:paths.offset[i] + len(path) - 1]
+            for j in np.flatnonzero(turns).tolist():
+                ta, tb = path[j], path[j + 1]
+                if facts.sink[ta] != facts.start[tb]:
+                    report.fail(
+                        "connectivity",
+                        f"witness for {pair} breaks at {ta}->{tb}: channels do "
+                        f"not meet at a switch",
+                    )
+                else:
+                    report.fail("connectivity", off_turn(pair, ta, tb))
+
+    covered = np.zeros((n, n), dtype=bool)
+    covered[s[valid], d[valid]] = True
+    np.fill_diagonal(covered, True)
+    # destination-major, as the pairs are listed
+    missing = np.argwhere(~covered.T)
+    for dd, ss in missing[:5].tolist():
+        report.fail("connectivity", f"no witness path for pair {(ss, dd)}")
+    if len(missing) > 5:
+        report.fail(
+            "connectivity",
+            f"... and {len(missing) - 5} further pairs without a witness",
+        )
+    report.witness_pairs = np.count_nonzero(valid)
+
+
+def _check_progress(
+    dist: np.ndarray,
+    unreachable: int,
+    hops: np.ndarray,
+    facts: _RawFacts,
+    allowed: np.ndarray,
+    report: CheckReport,
+) -> None:
+    """Claim 3 over the ``(n, C)`` distance table and the hop witnesses.
+
+    Each hop witness ``(d, c, b)`` must name a state inside the table,
+    at most once; a state named twice has no usable witness.
+    """
+    n, num_channels = dist.shape
+    hd, hc, hb = hops[:, 0], hops[:, 1], hops[:, 2]
+    inside = (hd >= 0) & (hd < n) & (hc >= 0) & (hc < num_channels)
+    at = np.flatnonzero(inside)
+    key = hd[at] * num_channels + hc[at]
+    named = np.bincount(key, minlength=n * num_channels)  # witnesses per state
+    repeated = np.zeros(hops.shape[0], dtype=bool)
+    repeated[at] = ~_first_occurrences(key, named)
+    sole = named[key] == 1
+    hop = np.zeros(n * num_channels, dtype=np.int64)
+    hop[key[sole]] = hb[at[sole]]
+    for i in np.flatnonzero(~inside | repeated)[:_MAX_FAILURES].tolist():
+        d, c = int(hd[i]), int(hc[i])
+        if inside[i]:
+            report.fail("progress", f"duplicate witness hop for dest {d}, channel {c}")
+        else:
+            report.fail(
+                "progress",
+                f"witness hop for dest {d}, channel {c} lies outside the "
+                f"distance table",
+            )
+    has_hop = (named == 1).reshape(n, num_channels)
+    ambiguous = (named > 1).reshape(n, num_channels)
+    hop = hop.reshape(n, num_channels)
+
+    at_dest = facts.sink_arr[None, :] == np.arange(n)[:, None]
+    zero = dist == 0
+    en_route = (dist > 0) & (dist < unreachable)
+    zero_away = zero & ~at_dest
+    dest_nonzero = ~zero & at_dest & (dist != unreachable)
+    no_hop = en_route & ~has_hop & ~ambiguous
+    checked = en_route & has_hop
+    not_channel = checked & ((hop < 0) | (hop >= num_channels))
+    checked &= ~not_channel
+    b = np.where(checked, hop, 0)
+    prohibited = checked & ~allowed[np.arange(num_channels)[None, :], b]
+    after = np.take_along_axis(dist, b, axis=1)
+    no_decrease = checked & (after != dist - 1)
+
+    flagged = (
+        zero_away | dest_nonzero | no_hop | not_channel | prohibited | no_decrease
+    )
+    for i in np.flatnonzero(flagged)[:_MAX_FAILURES].tolist():
+        d, c = divmod(i, num_channels)
+        rem = int(dist[d, c])
+        if zero_away[d, c]:
+            report.fail(
+                "progress",
+                f"dist[{d}][{c}] is 0 but channel {c} sinks at "
+                f"{facts.sink[c]}, not {d}",
+            )
+        if dest_nonzero[d, c]:
+            report.fail(
+                "progress",
+                f"channel {c} sinks at its destination {d} but dist is {rem}",
+            )
+        if no_hop[d, c]:
+            report.fail(
+                "progress",
+                f"no witness hop for dest {d}, channel {c} at distance {rem}",
+            )
+        if not_channel[d, c]:
+            report.fail(
+                "progress",
+                f"witness hop {int(hop[d, c])} for dest {d}, channel {c} is "
+                f"not a channel",
+            )
+        if prohibited[d, c]:
+            report.fail(
+                "progress",
+                f"witness hop {c}->{int(b[d, c])} for dest {d} crosses a "
+                f"prohibited turn",
+            )
+        if no_decrease[d, c]:
+            report.fail(
+                "progress",
+                f"witness hop {c}->{int(b[d, c])} for dest {d} does not "
+                f"decrease distance ({rem} -> {int(after[d, c])})",
+            )
+    report.progress_states = np.count_nonzero(en_route)
+
+
 def check_certificate(
     cert: Union[str, Mapping[str, object], object]
 ) -> CheckReport:
@@ -274,163 +586,65 @@ def check_certificate(
         return report
     n = facts.n
     num_channels = facts.num_channels
-    start, sink = facts.start, facts.sink
-    # the allowed predicate, evaluated once per candidate turn: succ[a]
-    # lists every b a worm on channel a may request next (in output
-    # order) and allowed_next[a] holds the same channels, so the claims
-    # below test a turn a -> b by set membership
-    succ = _full_relation_adjacency(facts)
-    allowed_next = [set(outs) for outs in succ]
+    try:
+        order = _int_array(data["deadlock"]["order"])
+        paths = _WitnessPaths(data["connectivity"]["witnesses"])
+        prog = data["progress"]
+        unreachable = int(prog["unreachable"])
+        rows = prog["dist"]
+        dist: Optional[np.ndarray] = None
+        if len(rows) == n and all(len(row) == num_channels for row in rows):
+            dist = _int_array(
+                itertools.chain.from_iterable(rows), n * num_channels
+            ).reshape(n, num_channels)
+        hops = _int_rows(prog["witnesses"], 3)
+    except _MALFORMED as exc:
+        report.fail("malformed", f"claims are not well-formed: {exc!r}")
+        return report
+    src, dst, allowed = _allowed_turns(facts)
 
     # ------------------------------------------------------------------
     # claim 1: deadlock freedom via the topological order
     # ------------------------------------------------------------------
-    order = [int(c) for c in data["deadlock"]["order"]]
-    if sorted(order) != list(range(num_channels)):
+    pos = _order_positions(order, num_channels)
+    if pos is None:
         report.fail(
             "deadlock",
             f"topological order is not a permutation of the "
-            f"{num_channels} channels ({len(order)} entries)",
+            f"{num_channels} channels ({order.size} entries)",
         )
     else:
-        pos = [0] * num_channels
-        for i, c in enumerate(order):
-            pos[c] = i
-        edges = 0
-        for a, outs in enumerate(succ):
-            edges += len(outs)
-            for b in outs:
-                if pos[a] >= pos[b]:
-                    report.fail(
-                        "deadlock",
-                        f"dependency {a}->{b} is allowed but runs "
-                        f"backwards in the claimed order "
-                        f"(pos {pos[a]} >= {pos[b]})",
-                    )
-        report.dependency_edges = edges
+        backwards = np.flatnonzero(pos[src] >= pos[dst])
+        for j in backwards[:_MAX_FAILURES].tolist():
+            a, b = int(src[j]), int(dst[j])
+            report.fail(
+                "deadlock",
+                f"dependency {a}->{b} is allowed but runs backwards in the "
+                f"claimed order (pos {int(pos[a])} >= {int(pos[b])})",
+            )
+        report.dependency_edges = int(src.size)
 
     # ------------------------------------------------------------------
     # claim 2: connectivity via witness paths
     # ------------------------------------------------------------------
-    witnessed = set()
-    for s, d, path in data["connectivity"]["witnesses"]:
-        s, d = int(s), int(d)
-        path = list(map(int, path))
-        pair = (s, d)
-        if pair in witnessed:
-            report.fail("connectivity", f"duplicate witness for {pair}")
-            continue
-        witnessed.add(pair)
-        if not (0 <= s < n and 0 <= d < n) or s == d:
-            report.fail("connectivity", f"invalid witness pair {pair}")
-            continue
-        if not path:
-            report.fail("connectivity", f"empty witness path for {pair}")
-            continue
-        if min(path) < 0 or max(path) >= num_channels:
-            report.fail("connectivity", f"witness for {pair} uses an unknown channel")
-            continue
-        if start[path[0]] != s:
-            report.fail(
-                "connectivity",
-                f"witness for {pair} starts at switch {start[path[0]]}, "
-                f"not {s}",
-            )
-        if sink[path[-1]] != d:
-            report.fail(
-                "connectivity",
-                f"witness for {pair} ends at switch {sink[path[-1]]}, "
-                f"not {d}",
-            )
-        for a, b in zip(path, path[1:]):
-            if b in allowed_next[a]:
-                continue
-            if sink[a] != start[b]:
-                report.fail(
-                    "connectivity",
-                    f"witness for {pair} breaks at {a}->{b}: channels do "
-                    f"not meet at a switch",
-                )
-            else:
-                report.fail(
-                    "connectivity",
-                    f"witness for {pair} crosses a prohibited turn "
-                    f"{a}->{b} at switch {sink[a]}",
-                )
-    missing = [
-        (s, d)
-        for d in range(n)
-        for s in range(n)
-        if s != d and (s, d) not in witnessed
-    ]
-    for pair in missing[:5]:
-        report.fail("connectivity", f"no witness path for pair {pair}")
-    if len(missing) > 5:
-        report.fail(
-            "connectivity",
-            f"... and {len(missing) - 5} further pairs without a witness",
-        )
-    report.witness_pairs = len(witnessed)
+    _walk_witness_paths(
+        paths,
+        facts,
+        allowed,
+        lambda pair, a, b: (
+            f"witness for {pair} crosses a prohibited turn {a}->{b} at "
+            f"switch {facts.sink[a]}"
+        ),
+        report,
+    )
 
     # ------------------------------------------------------------------
     # claim 3: progress via distance-decrease witnesses
     # ------------------------------------------------------------------
-    prog = data["progress"]
-    unreachable = int(prog["unreachable"])
-    dist = [list(map(int, row)) for row in prog["dist"]]
-    if len(dist) != n or any(len(row) != num_channels for row in dist):
+    if dist is None:
         report.fail("progress", "distance table has the wrong shape")
         return report
-    hop_witness: Dict[Tuple[int, int], int] = {
-        (int(d), int(c)): int(b) for d, c, b in prog["witnesses"]
-    }
-    states = 0
-    for d, row in enumerate(dist):
-        for c, rem in enumerate(row):
-            if rem == 0:
-                if sink[c] != d:
-                    report.fail(
-                        "progress",
-                        f"dist[{d}][{c}] is 0 but channel {c} sinks at "
-                        f"{sink[c]}, not {d}",
-                    )
-                continue
-            if sink[c] == d and rem != unreachable:
-                report.fail(
-                    "progress",
-                    f"channel {c} sinks at its destination {d} but "
-                    f"dist is {rem}",
-                )
-            if 0 < rem < unreachable:
-                states += 1
-                b = hop_witness.get((d, c))
-                if b is None:
-                    report.fail(
-                        "progress",
-                        f"no witness hop for dest {d}, channel {c} at "
-                        f"distance {rem}",
-                    )
-                    continue
-                if not (0 <= b < num_channels):
-                    report.fail(
-                        "progress",
-                        f"witness hop {b} for dest {d}, channel {c} is "
-                        f"not a channel",
-                    )
-                    continue
-                if b not in allowed_next[c]:
-                    report.fail(
-                        "progress",
-                        f"witness hop {c}->{b} for dest {d} crosses a "
-                        f"prohibited turn",
-                    )
-                if row[b] != rem - 1:
-                    report.fail(
-                        "progress",
-                        f"witness hop {c}->{b} for dest {d} does not "
-                        f"decrease distance ({rem} -> {row[b]})",
-                    )
-    report.progress_states = states
+    _check_progress(dist, unreachable, hops, facts, allowed, report)
     return report
 
 
@@ -517,107 +731,61 @@ def _check_existence_witness(
         report.fail("witness", "feasible verdict carries no witness")
         return
     try:
-        order = [int(c) for c in witness["order"]]
-        relation = [(int(a), int(b)) for a, b in witness["relation"]]
-        paths = [
-            (int(s), int(d), [int(c) for c in p])
-            for s, d, p in witness["paths"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        order = _int_array(witness["order"])
+        relation = _int_rows(witness["relation"], 2)
+        paths = _WitnessPaths(witness["paths"])
+    except _MALFORMED as exc:
         report.fail("malformed", f"witness is not well-formed: {exc!r}")
         return
 
     num_channels = facts.num_channels
-    if sorted(order) != list(range(num_channels)):
+    pos = _order_positions(order, num_channels)
+    if pos is None:
         report.fail(
             "deadlock",
             f"escape order is not a permutation of the {num_channels} "
-            f"channels ({len(order)} entries)",
+            f"channels ({order.size} entries)",
         )
         return
-    pos = [0] * num_channels
-    for i, c in enumerate(order):
-        pos[c] = i
 
-    rel: Set[Tuple[int, int]] = set()
-    for a, b in relation:
-        if not (0 <= a < num_channels and 0 <= b < num_channels):
+    ra, rb = relation[:, 0], relation[:, 1]
+    on_channels = (ra >= 0) & (ra < num_channels) & (rb >= 0) & (rb < num_channels)
+    ea, eb = np.where(on_channels, ra, 0), np.where(on_channels, rb, 0)
+    not_allowed = on_channels & ~_allowed_turns(facts)[2][ea, eb]
+    backwards = on_channels & (pos[ea] >= pos[eb])
+    for i in np.flatnonzero(~on_channels | not_allowed | backwards)[
+        :_MAX_FAILURES
+    ].tolist():
+        a, b = int(ra[i]), int(rb[i])
+        if not on_channels[i]:
             report.fail("relation", f"relation edge {a}->{b} is not a channel pair")
-            continue
-        if not facts.allowed(a, b):
+        elif not_allowed[i]:
             report.fail(
                 "relation",
                 f"relation edge {a}->{b} is not an allowed turn",
             )
-        elif pos[a] >= pos[b]:
+        else:
             report.fail(
                 "deadlock",
                 f"relation edge {a}->{b} runs backwards in the claimed "
-                f"order (pos {pos[a]} >= {pos[b]})",
+                f"order (pos {int(pos[a])} >= {int(pos[b])})",
             )
-        rel.add((a, b))
-    report.dependency_edges = len(rel)
+    escape = _turn_matrix(ra[on_channels], rb[on_channels], num_channels)
+    report.dependency_edges = np.count_nonzero(escape)
 
-    witnessed: Set[Tuple[int, int]] = set()
-    for s, d, path in paths:
-        pair = (s, d)
-        if pair in witnessed:
-            report.fail("connectivity", f"duplicate witness for {pair}")
-            continue
-        witnessed.add(pair)
-        if not (0 <= s < facts.n and 0 <= d < facts.n) or s == d:
-            report.fail("connectivity", f"invalid witness pair {pair}")
-            continue
-        if not path:
-            report.fail("connectivity", f"empty witness path for {pair}")
-            continue
-        if any(not (0 <= c < num_channels) for c in path):
-            report.fail(
-                "connectivity", f"witness for {pair} uses an unknown channel"
-            )
-            continue
-        if facts.start[path[0]] != s:
-            report.fail(
-                "connectivity",
-                f"witness for {pair} starts at switch "
-                f"{facts.start[path[0]]}, not {s}",
-            )
-        if facts.sink[path[-1]] != d:
-            report.fail(
-                "connectivity",
-                f"witness for {pair} ends at switch "
-                f"{facts.sink[path[-1]]}, not {d}",
-            )
-        for a, b in zip(path[:-1], path[1:]):
-            if facts.sink[a] != facts.start[b]:
-                report.fail(
-                    "connectivity",
-                    f"witness for {pair} breaks at {a}->{b}: channels do "
-                    f"not meet at a switch",
-                )
-            elif (a, b) not in rel:
-                # stricter than the certificate check on purpose: the
-                # witness must stay inside the *escape* relation, not
-                # merely inside the allowed relation
-                report.fail(
-                    "connectivity",
-                    f"witness for {pair} uses turn {a}->{b} outside the "
-                    f"escape relation",
-                )
-    missing = [
-        (s, d)
-        for d in range(facts.n)
-        for s in range(facts.n)
-        if s != d and (s, d) not in witnessed
-    ]
-    for pair in missing[:5]:
-        report.fail("connectivity", f"no witness path for pair {pair}")
-    if len(missing) > 5:
-        report.fail(
-            "connectivity",
-            f"... and {len(missing) - 5} further pairs without a witness",
-        )
-    report.witness_pairs = len(witnessed)
+    # stricter than the certificate check on purpose: the witness must
+    # stay inside the *escape* relation, not merely inside the allowed
+    # relation
+    _walk_witness_paths(
+        paths,
+        facts,
+        escape,
+        lambda pair, a, b: (
+            f"witness for {pair} uses turn {a}->{b} outside the escape "
+            f"relation"
+        ),
+        report,
+    )
 
 
 def _check_existence_core(

@@ -3,7 +3,7 @@
 The codebase's determinism guarantees — byte-identical reruns under
 fixed seeds, engine-clock-only time, routing tables written exclusively
 by verified builders — were previously enforced by convention.  This
-linter enforces them statically, with six repo-specific rules:
+linter enforces them statically, with seven repo-specific rules:
 
 ``STA001`` *engine clock only*
     No wall-clock reads (``time.time``, ``time.perf_counter``,
@@ -51,6 +51,14 @@ linter enforces them statically, with six repo-specific rules:
     annotations (``rng: np.random.Generator`` documents an *injected*
     source, exactly the sanctioned pattern) and the call targets STA002
     already reports.
+
+``STA008`` *the independent checker imports no repro code*
+    :mod:`repro.statics.check` re-validates certificates against the
+    raw facts alone; importing any ``repro`` module there (absolute
+    ``import repro...`` / ``from repro... import``, or a relative
+    import, which resolves inside ``repro``) would let a builder bug
+    certify itself.  The standard library and numpy are fine.  (The
+    id ``STA007`` is retired and not reused.)
 
 Run as ``python -m repro.statics.lint [paths...]`` (defaults to the
 installed ``repro`` package); exits non-zero when violations exist.
@@ -117,6 +125,10 @@ GUARDED_LOADERS: Dict[str, int] = {
     "tree_from_json": 1,
     "load_tree": 1,
 }
+
+#: modules that must import nothing from ``repro`` (STA008): the
+#: independent checker shares no code with what it checks
+INDEPENDENT_MODULES = frozenset({"repro/statics/check.py"})
 
 _BUILDER_NAME = re.compile(r"^build_\w+_routing$")
 
@@ -370,6 +382,25 @@ def lint_source(
                         f"write to routing table attribute "
                         f"'.{base.attr}' outside a builder module — "
                         f"tables are immutable once verified",
+                    )
+
+    # --- STA008: the independent checker imports no repro code --------
+    if rel in INDEPENDENT_MODULES:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["." * node.level + (node.module or "")]
+            else:
+                continue
+            for name in names:
+                if name.startswith(".") or name.split(".")[0] == "repro":
+                    add(
+                        node,
+                        "STA008",
+                        f"import of {name} in the independent checker — it "
+                        f"may use only the standard library and numpy, so a "
+                        f"builder bug cannot certify itself",
                     )
 
     # --- STA004: builders must verify ----------------------------------

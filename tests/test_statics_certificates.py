@@ -95,6 +95,18 @@ class TestRoundTrip:
         assert check_certificate(cert.to_json()).ok
         assert check_certificate(cert).ok
 
+    def test_payload_shares_the_bundle_tuples(self, certified):
+        """payload() hands out the bundle's own immutable sections, not
+        copies, and their canonical bytes equal the list form's."""
+        _, cert = certified
+        data = cert.payload()
+        assert data["deadlock"]["order"] is cert.deadlock.order
+        assert data["connectivity"]["witnesses"] is cert.connectivity.witnesses
+        assert data["progress"]["dist"] is cert.progress.dist
+        assert data["progress"]["witnesses"] is cert.progress.witnesses
+        as_lists = json.loads(cert.to_json())
+        assert compute_digest(as_lists) == compute_digest(data) == cert.digest
+
     def test_foreign_format_rejected(self, certified):
         _, cert = certified
         data = json.loads(cert.to_json())

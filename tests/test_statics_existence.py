@@ -232,6 +232,97 @@ class TestWitnessCorruptions:
         assert "witness" in failure_codes(report)
 
 
+def _swap_first_relation_edge_in_order(w):
+    order = w["order"]
+    a, b = w["relation"][0]
+    ia, ib = order.index(a), order.index(b)
+    order[ia], order[ib] = order[ib], order[ia]
+
+
+def _drop_relation_edge_under_a_path(w):
+    long_path = next(p for _s, _d, p in w["paths"] if len(p) >= 2)
+    w["relation"] = [e for e in w["relation"] if e != long_path[:2]]
+
+
+def _break_first_long_path(w):
+    s, d, p = next(e for e in w["paths"] if len(e[2]) >= 2)
+    w["paths"] = [
+        [s, d, [p[0], p[0]] + p[1:]] if e[:2] == [s, d] else e
+        for e in w["paths"]
+    ]
+
+
+# (mutation, exact failure list, dependency_edges, witness_pairs), all
+# recorded on the ring-4 feasible report before the checker's array rewrite
+EXACT_WITNESS_FAILURES = {
+    "order-swap": (
+        _swap_first_relation_edge_in_order,
+        [("deadlock", "relation edge 2->7 runs backwards in the claimed order (pos 5 >= 4)")],
+        6, 12,
+    ),
+    "order-truncated": (
+        lambda w: w.__setitem__("order", w["order"][1:]),
+        [("deadlock", "escape order is not a permutation of the 8 channels (7 entries)")],
+        0, 0,
+    ),
+    "outside-relation": (
+        _drop_relation_edge_under_a_path,
+        [("connectivity", "witness for (0, 2) uses turn 2->7 outside the escape relation")],
+        5, 12,
+    ),
+    "paths-truncated": (
+        lambda w: w.__setitem__("paths", w["paths"][1:]),
+        [("connectivity", "no witness path for pair (0, 1)")],
+        6, 11,
+    ),
+    "uturn-edge": (
+        lambda w: w["relation"].append([0, 1]),
+        [("relation", "relation edge 0->1 is not an allowed turn")],
+        7, 12,
+    ),
+    "edge-off-channels": (
+        lambda w: w["relation"].append([0, 99]),
+        [("relation", "relation edge 0->99 is not a channel pair")],
+        6, 12,
+    ),
+    "broken-chain": (
+        _break_first_long_path,
+        [("connectivity", "witness for (0, 2) breaks at 2->2: channels do not meet at a switch")],
+        6, 12,
+    ),
+    "invalid-pair": (
+        lambda w: w["paths"].append([2, 2, [0]]),
+        [("connectivity", "invalid witness pair (2, 2)")],
+        6, 12,
+    ),
+    "duplicate-pair": (
+        lambda w: w["paths"].append(w["paths"][0]),
+        [("connectivity", "duplicate witness for (0, 1)")],
+        6, 12,
+    ),
+    "empty-path": (
+        lambda w: w["paths"][0].__setitem__(2, []),
+        [("connectivity", "empty witness path for (0, 1)")],
+        6, 12,
+    ),
+    "unknown-channel": (
+        lambda w: w["paths"][0].__setitem__(2, [9]),
+        [("connectivity", "witness for (0, 1) uses an unknown channel")],
+        6, 12,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_WITNESS_FAILURES))
+def test_witness_failures_exact(feasible_data, name):
+    mutate, expected, edges, pairs = EXACT_WITNESS_FAILURES[name]
+    data = json.loads(json.dumps(feasible_data))
+    mutate(data["witness"])
+    report = check_existence_report(restamp(data))
+    assert [(f.code, f.message) for f in report.failures] == expected
+    assert (report.dependency_edges, report.witness_pairs) == (edges, pairs)
+
+
 class TestCoreCorruptions:
     def test_false_disconnected_claim_rejected(self, feasible_data):
         # the all-turns ring connects every pair: claiming (0, 2)

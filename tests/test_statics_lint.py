@@ -236,6 +236,49 @@ class TestSTA006RandomnessReferences:
             )
 
 
+class TestSTA008CheckerIndependence:
+    CHECKER = "repro/statics/check.py"
+
+    def test_absolute_repro_import_fires(self):
+        assert codes(
+            "from repro.routing.channel_graph import dependency_adjacency\n",
+            module_rel=self.CHECKER,
+        ) == ["STA008"]
+
+    def test_plain_import_fires(self):
+        assert codes("import repro.core.downup\n", module_rel=self.CHECKER) == [
+            "STA008"
+        ]
+
+    def test_relative_import_fires(self):
+        assert codes(
+            "from .certificates import compute_digest\n",
+            module_rel=self.CHECKER,
+        ) == ["STA008"]
+
+    def test_import_inside_a_function_fires(self):
+        src = """
+            def check(cert):
+                from repro.statics import certificates
+                return certificates
+            """
+        assert codes(src, module_rel=self.CHECKER) == ["STA008"]
+
+    def test_stdlib_and_numpy_are_clean(self):
+        src = """
+            import hashlib
+            import itertools
+            import json
+            from typing import List
+
+            import numpy as np
+            """
+        assert codes(src, module_rel=self.CHECKER) == []
+
+    def test_other_modules_may_import_repro(self):
+        assert codes("from repro.statics.check import recheck\n") == []
+
+
 class TestMachinery:
     def test_syntax_error_reported_as_sta000(self):
         assert codes("def broken(:\n") == ["STA000"]
