@@ -68,6 +68,7 @@ except ImportError:  # pragma: no cover - non-POSIX
 from repro.core.coordinated_tree import CoordinatedTree
 from repro.routing.base import RoutingFunction
 from repro.routing.serialization import (
+    FORMAT as ROUTING_FORMAT,
     routing_from_json,
     routing_to_json,
     tree_from_json,
@@ -84,9 +85,9 @@ ARTIFACT_FORMAT = "repro-artifact-v1"
 #: tie-breaking, ...) so stale entries miss instead of aliasing.
 BUILDER_VERSION = "construction-v1"
 
-#: default bound of the in-process decoded-object LRU (a 128-switch
-#: 8-port routing is tens of MB decoded; one Figure-8 sample's working
-#: set is ~10 objects)
+#: default bound of the in-process decoded-object LRU (a decoded
+#: 128-switch 8-port DOWN/UP routing holds about 2 MB by tracemalloc;
+#: one Figure-8 sample's working set is ~10 objects)
 DEFAULT_MEMORY_ENTRIES = 16
 
 _COUNTER_FIELDS = (
@@ -437,6 +438,8 @@ class ArtifactCache:
                 "algorithm": algorithm,
                 "seed": seed,
                 "builder": BUILDER_VERSION,
+                # entries of an older codec miss instead of failing decode
+                "codec": ROUTING_FORMAT,
             },
             build,
             lambda r: routing_to_json(r),

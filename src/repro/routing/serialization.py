@@ -6,12 +6,19 @@ construction (and so non-Python consumers — e.g. a C simulator — can
 load them).  The format is JSON:
 
 ```
-{"format": "repro-routing-v1", "name": ..., "topology": {...},
+{"format": "repro-routing-v2", "name": ..., "topology": {...},
  "channel_class": [...], "class_names": [...],
  "base_allowed": [[...]], "pair_exceptions": [[cin, cout], ...],
  "node_overrides": {"<switch>": [[...]]},
- "dist": [[...]], "next_hops": [[[...]]], "first_hops": [[[...]]]}
+ "dist": [[...]],                       # n x C hop counts
+ "candidates": [[], [c, ...], ...],     # distinct candidate sets, [] first
+ "next_hops": [[i, ...]],               # n x C indices into candidates
+ "first_hops": [[i, ...]]}              # n x n indices into candidates
 ```
+
+A 128-switch table has ~100k entries but a few thousand distinct
+candidate sets, so each set is written once and referenced by index;
+decoding shares one tuple per set between rows, as the builders do.
 
 ``load_routing`` rebuilds a fully functional
 :class:`~repro.routing.base.RoutingFunction` (turn model included) and
@@ -22,8 +29,9 @@ table.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
-from typing import Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -32,13 +40,22 @@ from repro.routing.base import RoutingFunction, TurnModel
 from repro.routing.verification import verify_routing
 from repro.topology.serialization import topology_from_json, topology_to_json
 
-FORMAT = "repro-routing-v1"
+FORMAT = "repro-routing-v2"
 TREE_FORMAT = "repro-tree-v1"
 
 
 def routing_to_json(routing: RoutingFunction) -> str:
     """Serialize *routing* (tables + turn model + topology) to JSON."""
     tm = routing.turn_model
+    # distinct candidate sets in first-seen order, the empty one first
+    distinct = dict.fromkeys(
+        chain(
+            [()],
+            chain.from_iterable(routing.next_hops),
+            chain.from_iterable(routing.first_hops),
+        )
+    )
+    lookup = dict(zip(distinct, range(len(distinct)))).__getitem__
     payload = {
         "format": FORMAT,
         "name": routing.name,
@@ -52,12 +69,9 @@ def routing_to_json(routing: RoutingFunction) -> str:
         },
         "pair_exceptions": [list(p) for p in tm.released_channel_pairs()],
         "dist": np.asarray(routing.dist).tolist(),
-        "next_hops": [
-            [list(opts) for opts in per_dest] for per_dest in routing.next_hops
-        ],
-        "first_hops": [
-            [list(opts) for opts in per_dest] for per_dest in routing.first_hops
-        ],
+        "candidates": list(distinct),
+        "next_hops": [list(map(lookup, row)) for row in routing.next_hops],
+        "first_hops": [list(map(lookup, row)) for row in routing.first_hops],
     }
     return json.dumps(payload, separators=(",", ":"))
 
@@ -74,38 +88,73 @@ def routing_from_json(text: str, verify: bool = True) -> RoutingFunction:
             f"unsupported routing format {data.get('format')!r}"
         )
     topology = topology_from_json(json.dumps(data["topology"]))
+    n, num_channels = topology.n, topology.num_channels
     tm = TurnModel(
         topology,
         data["channel_class"],
         np.asarray(data["base_allowed"], dtype=bool),
         class_names=data["class_names"],
     )
+    k = tm.num_classes
     for v_str, matrix in data.get("node_overrides", {}).items():
         v = int(v_str)
         m = np.asarray(matrix, dtype=bool)
-        for i in range(tm.num_classes):
-            for j in range(tm.num_classes):
+        if not 0 <= v < n or m.shape != (k, k):
+            raise ValueError(f"node override for switch {v_str} is malformed")
+        for i in range(k):
+            for j in range(k):
                 tm.set_turn(v, i, j, bool(m[i, j]))
     for cin, cout in data.get("pair_exceptions", []):
+        if not (0 <= cin < num_channels and 0 <= cout < num_channels):
+            raise ValueError(f"pair exception ({cin}, {cout}) names no channel")
         tm.allow_channel_pair(int(cin), int(cout))
     dist = np.asarray(data["dist"], dtype=np.int32)
+    if dist.shape != (n, num_channels):
+        raise ValueError(
+            f"dist is {dist.shape}, expected {(n, num_channels)}"
+        )
     dist.setflags(write=False)
+    candidates = tuple(map(tuple, data["candidates"]))
+    channels = list(chain.from_iterable(candidates))
+    if channels and not (0 <= min(channels) and max(channels) < num_channels):
+        raise ValueError("a candidate set names no channel")
     routing = RoutingFunction(
         topology=topology,
         name=data["name"],
         turn_model=tm,
         dist=dist,
-        # map(tuple, ...) stays in C: these two fields are ~98% of the
-        # decoded object (|V| x |C| inner tuples) and dominate load time
-        next_hops=tuple(
-            tuple(map(tuple, per_dest)) for per_dest in data["next_hops"]
+        next_hops=_index_rows(
+            data["next_hops"], candidates, n, num_channels, "next_hops"
         ),
-        first_hops=tuple(
-            tuple(map(tuple, per_dest)) for per_dest in data["first_hops"]
+        first_hops=_index_rows(
+            data["first_hops"], candidates, n, n, "first_hops"
         ),
         meta={"loaded": True},
     )
     return verify_routing(routing) if verify else routing
+
+
+def _index_rows(
+    rows: List[List[int]],
+    candidates: Tuple[Tuple[int, ...], ...],
+    n: int,
+    width: int,
+    field: str,
+) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """Resolve an ``n x width`` table of indices into *candidates*.
+
+    Checks the shape and the index range first (a negative index would
+    otherwise wrap); the lookups themselves run in C and share one tuple
+    per candidate set between rows.
+    """
+    if len(rows) != n:
+        raise ValueError(f"{field} has {len(rows)} rows, expected {n}")
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"{field} row has {len(row)} entries, expected {width}")
+        if row and not (0 <= min(row) and max(row) < len(candidates)):
+            raise ValueError(f"{field} indexes past the candidate list")
+    return tuple(tuple(map(candidates.__getitem__, row)) for row in rows)
 
 
 def tree_to_json(tree: CoordinatedTree) -> str:

@@ -138,24 +138,41 @@ def _add_random_links(
 ) -> None:
     """Add random extra links to *links* in place, respecting bounds.
 
-    Repeatedly samples a pair of non-saturated switches; stops when the
-    target is met or when the set of legal pairs is exhausted.
+    Repeatedly draws a uniform legal pair ``(a, b)``, ``a < b``: both
+    switches non-saturated and not yet adjacent.  The draw indexes the
+    legal pairs in lexicographic order without listing them: each open
+    switch ``a`` counts its legal partners (the open switches after it,
+    minus its links to them) and the counts are walked to the k-th pair.
+    Stops when the target is met or no legal pair remains.
     """
     degree = [0] * n
+    later: List[Set[int]] = [set() for _ in range(n)]  # links are (low, high)
     for u, v in links:
         degree[u] += 1
         degree[v] += 1
+        later[u].add(v)
     while len(links) < num_links:
         open_switches = [v for v in range(n) if degree[v] < ports]
-        legal = [
-            (a, b)
+        m = len(open_switches)
+        counts = [
+            m - 1 - i - sum(1 for b in later[a] if degree[b] < ports)
             for i, a in enumerate(open_switches)
-            for b in open_switches[i + 1 :]
-            if (a, b) not in links
         ]
-        if not legal:
+        total = sum(counts)
+        if not total:
             return
-        a, b = legal[int(gen.integers(len(legal)))]
+        k = int(gen.integers(total))
+        i = 0
+        while k >= counts[i]:
+            k -= counts[i]
+            i += 1
+        a = open_switches[i]
+        for b in open_switches[i + 1 :]:
+            if b not in later[a]:
+                if not k:
+                    break
+                k -= 1
         links.add((a, b))
+        later[a].add(b)
         degree[a] += 1
         degree[b] += 1

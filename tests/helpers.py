@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -62,3 +63,14 @@ class FixedDestinationTraffic:
 
     def destination(self, src: int, rng) -> int:
         return self.mapping[src]
+
+
+def v1_routing_payload(v2_text: str) -> str:
+    """Rewrite a ``repro-routing-v2`` payload in the retired v1 layout
+    (candidate sets written out in full in every table entry)."""
+    data = json.loads(v2_text)
+    candidates = data.pop("candidates")
+    for field in ("next_hops", "first_hops"):
+        data[field] = [[candidates[i] for i in row] for row in data[field]]
+    data["format"] = "repro-routing-v1"
+    return json.dumps(data, separators=(",", ":"))

@@ -11,14 +11,17 @@ down to the canonical digest of a full simulation run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.downup import build_down_up_routing
 from repro.experiments.artifacts import (
     ARTIFACT_FORMAT,
+    BUILDER_VERSION,
     ArtifactCache,
     artifact_digest,
     clear_store,
@@ -26,6 +29,7 @@ from repro.experiments.artifacts import (
     read_counters,
     set_process_cache,
     store_stats,
+    topology_digest,
     tree_key_digest,
     verify_store,
 )
@@ -39,12 +43,14 @@ from repro.experiments.parallel import (
 from repro.experiments.tables import run_tables
 from repro.routing.lturn import build_l_turn_routing
 from repro.routing.serialization import (
+    routing_from_json,
     routing_to_json,
     tree_from_json,
     tree_to_json,
 )
 from repro.simulator import SimulationConfig, simulate
 from repro.topology.generator import random_irregular_topology
+from tests.helpers import v1_routing_payload
 
 
 @pytest.fixture(scope="module")
@@ -485,3 +491,109 @@ class TestTreeCodec:
         assert tree_key_digest(a, "M1", 3) != tree_key_digest(a, "M2", 3)
         assert tree_key_digest(a, "M1", 3) != tree_key_digest(a, "M1", 4)
         assert tree_key_digest(a, "M1", 3) == tree_key_digest(a, "M1", 3)
+
+
+def _rewrite_entry(entry, edit):
+    """Edit an entry's decoded payload in place and refresh its checksum,
+    so only the routing decoder can tell that the content is wrong."""
+    header_line, payload = entry.read_text(encoding="utf-8").split("\n", 1)
+    header = json.loads(header_line)
+    data = json.loads(payload)
+    edit(data)
+    payload = json.dumps(data, separators=(",", ":"))
+    header["payload_sha256"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    entry.write_text(json.dumps(header) + "\n" + payload, encoding="utf-8")
+
+
+def _set(path, value):
+    """An edit that assigns *value* at the nested index *path*."""
+
+    def edit(data):
+        target = data
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+
+    return edit
+
+
+class TestMalformedRoutingEntries:
+    """A checksum-valid routing entry with bad content is counted
+    ``corrupt`` and rebuilt, never raised out of the cache."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        topo = random_irregular_topology(32, 4, rng=7)
+        routing = build_down_up_routing(topo)
+        assert routing.turn_model.released_channel_pairs()
+        return topo, routing
+
+    def _entry(self, store, topo, routing):
+        ArtifactCache(store).routing(topo, "t", "down-up", 0, lambda: routing)
+        (entry,) = [p for p in store.iterdir() if p.name.endswith(".json")]
+        return entry
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set(["next_hops", 0, 0], -1),
+            _set(["first_hops", 1, 0], 10**6),
+            _set(["pair_exceptions", 0, 1], 10**6),
+            lambda data: data["dist"].pop(),
+            lambda data: data["next_hops"][3].pop(),
+            lambda data: data["first_hops"].pop(),
+            _set(["candidates", 1, 0], 10**6),
+            _set(["node_overrides", "999"], [[True]]),
+        ],
+        ids=[
+            "negative-index",
+            "index-past-candidates",
+            "pair-exception-channel",
+            "dist-rows",
+            "next-hops-row-width",
+            "first-hops-rows",
+            "candidate-channel",
+            "node-override",
+        ],
+    )
+    def test_counted_corrupt_and_rebuilt(self, built, edit, tmp_path):
+        topo, routing = built
+        store = tmp_path / "store"
+        entry = self._entry(store, topo, routing)
+        _rewrite_entry(entry, edit)
+        assert verify_store(store) == (1, [])  # the checksum is valid
+        with pytest.raises(ValueError):
+            routing_from_json(entry.read_text().split("\n", 1)[1], verify=False)
+
+        cache = ArtifactCache(store)
+        served = cache.routing(topo, "t", "down-up", 0, lambda: routing)
+        assert cache.counters.corrupt == 1 and cache.counters.misses == 1
+        assert served.next_hops == routing.next_hops
+        assert served.first_hops == routing.first_hops
+        assert np.array_equal(served.dist, routing.dist)
+
+    def test_v1_entry_misses_cleanly(self, built, tmp_path):
+        """An entry written by the nested-list v1 codec is a plain miss:
+        not corrupt, and still a valid entry to ``cache verify``."""
+        topo, routing = built
+        store = tmp_path / "store"
+        v1_key = {
+            "topology": topology_digest(topo),
+            "tree": "t",
+            "algorithm": "down-up",
+            "seed": 0,
+            "builder": BUILDER_VERSION,
+        }
+        ArtifactCache(store)._publish(
+            artifact_digest("routing", v1_key),
+            "routing",
+            v1_key,
+            v1_routing_payload(routing_to_json(routing)),
+        )
+
+        cache = ArtifactCache(store)
+        served = cache.routing(topo, "t", "down-up", 0, lambda: routing)
+        assert served is routing
+        assert cache.counters.misses == 1
+        assert cache.counters.corrupt == 0 and cache.counters.hits == 0
+        assert verify_store(store) == (2, [])

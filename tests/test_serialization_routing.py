@@ -1,5 +1,8 @@
 """Round-trip tests for routing-function serialization."""
 
+import json
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from repro.routing.serialization import (
 )
 from repro.routing.updown import build_up_down_routing
 from repro.topology.generator import random_irregular_topology
+from tests.helpers import v1_routing_payload
 
 
 @pytest.mark.parametrize(
@@ -34,6 +38,39 @@ def test_roundtrip_preserves_everything(builder, small_irregular):
         back.turn_model.released_channel_pairs()
         == original.turn_model.released_channel_pairs()
     )
+    assert routing_to_json(back) == routing_to_json(original)
+
+
+def test_decoded_rows_share_candidate_tuples(medium_irregular):
+    text = routing_to_json(build_down_up_routing(medium_irregular))
+    back = routing_from_json(text)
+    entries = list(
+        chain(chain.from_iterable(back.next_hops), chain.from_iterable(back.first_hops))
+    )
+    distinct = set(entries)
+    assert len({id(c) for c in entries}) == len(distinct)
+    assert len(json.loads(text)["candidates"]) == len(distinct | {()})
+
+
+def test_overrides_and_pair_exceptions_roundtrip(medium_irregular):
+    original = build_down_up_routing(medium_irregular)
+    tm = original.turn_model
+    assert tm.released_channel_pairs()
+    # a per-switch matrix that differs from the base; no builder emits
+    # one, so the result is not re-verified
+    v = medium_irregular.n - 1
+    tm.set_turn(v, 0, 1, not bool(tm.base_matrix[0, 1]))
+    assert tm.overridden_switches() == [v]
+    text = routing_to_json(original)
+    back = routing_from_json(text, verify=False)
+    assert back.turn_model.overridden_switches() == [v]
+    assert np.array_equal(back.turn_model.allowed_matrix(v), tm.allowed_matrix(v))
+    assert (
+        back.turn_model.released_channel_pairs() == tm.released_channel_pairs()
+    )
+    assert back.next_hops == original.next_hops
+    assert back.first_hops == original.first_hops
+    assert routing_to_json(back) == text
 
 
 def test_roundtrip_reverifies(small_irregular):
@@ -56,14 +93,20 @@ def test_bad_format_rejected():
         routing_from_json('{"format": "other"}')
 
 
-def test_tampered_tables_fail_verification(small_irregular):
-    import json
+def test_v1_layout_rejected(small_irregular):
+    """The nested-list v1 layout has no reader."""
+    text = v1_routing_payload(routing_to_json(build_down_up_routing(small_irregular)))
+    with pytest.raises(ValueError, match="unsupported routing format"):
+        routing_from_json(text)
 
+
+def test_tampered_tables_fail_verification(small_irregular):
     original = build_down_up_routing(small_irregular)
     data = json.loads(routing_to_json(original))
-    # corrupt: claim a base matrix that allows everything (fine) but
-    # break connectivity by emptying all first hops for dest 0
-    data["first_hops"][0] = [[] for _ in range(small_irregular.n)]
+    # corrupt: break connectivity by pointing every first hop for dest 0
+    # at candidate 0, the empty set
+    assert data["candidates"][0] == []
+    data["first_hops"][0] = [0] * small_irregular.n
     from repro.routing.verification import VerificationError
 
     with pytest.raises(VerificationError):
@@ -83,5 +126,8 @@ def test_file_roundtrip(tmp_path, small_irregular):
 
 def test_deterministic_variant_roundtrips(small_irregular):
     det = build_down_up_routing(small_irregular).deterministic(rng=1)
-    back = routing_from_json(routing_to_json(det))
+    text = routing_to_json(det)
+    back = routing_from_json(text)
+    assert back.next_hops == det.next_hops
     assert back.first_hops == det.first_hops
+    assert routing_to_json(back) == text

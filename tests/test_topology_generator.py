@@ -1,10 +1,17 @@
 """Unit + property tests for the random irregular topology generator."""
 
+import hashlib
+import json
+from typing import Set, Tuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.configs import get_preset
+from repro.experiments.harness import make_topology
+from repro.topology import generator
 from repro.topology.generator import TopologyGenError, random_irregular_topology
 from repro.topology.validation import validate_topology
 
@@ -108,3 +115,83 @@ class TestStyles:
     def test_unknown_style_rejected(self):
         with pytest.raises(ValueError, match="unknown style"):
             random_irregular_topology(16, 4, rng=0, style="chunky")
+
+
+def _reference_add_random_links(
+    links: Set[Tuple[int, int]], n: int, ports: int, num_links: int, gen
+) -> None:
+    """The list-building link adder: every legal pair, then one draw.
+
+    The generator's k-th-pair walk must pick exactly the pair this picks
+    from exactly the same draws.
+    """
+    degree = [0] * n
+    for u, v in links:
+        degree[u] += 1
+        degree[v] += 1
+    while len(links) < num_links:
+        open_switches = [v for v in range(n) if degree[v] < ports]
+        legal = [
+            (a, b)
+            for i, a in enumerate(open_switches)
+            for b in open_switches[i + 1 :]
+            if (a, b) not in links
+        ]
+        if not legal:
+            return
+        a, b = legal[int(gen.integers(len(legal)))]
+        links.add((a, b))
+        degree[a] += 1
+        degree[b] += 1
+
+
+def _sample(n, ports, seed, fill):
+    """Sorted links, or the error message, of one generator call."""
+    try:
+        t = random_irregular_topology(n, ports, rng=seed, fill=fill, max_attempts=4)
+    except TopologyGenError as exc:
+        return str(exc)
+    return t.links
+
+
+class TestMatchesListBuildingReference:
+    FILLS = (0.55, 0.75, 0.95, 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 33, 128])
+    def test_same_links_and_errors(self, n, monkeypatch):
+        seeds = range(1) if n == 128 else range(6)
+        grid = [
+            (ports, seed, fill)
+            for ports in range(2, 9)
+            for seed in seeds
+            for fill in self.FILLS
+        ]
+        got = [_sample(n, *cell) for cell in grid]
+
+        wedged = []
+
+        def reference(links, n, ports, num_links, gen):
+            _reference_add_random_links(links, n, ports, num_links, gen)
+            wedged.append(len(links) < num_links)
+
+        monkeypatch.setattr(generator, "_add_random_links", reference)
+        want = [_sample(n, *cell) for cell in grid]
+        for cell, g, w in zip(grid, got, want):
+            assert g == w, f"n={n} (ports, seed, fill)={cell}"
+        if n in (16, 33, 128):
+            # the grid exercises the retry path, not only clean draws
+            assert any(wedged)
+        if n == 16:
+            assert any(isinstance(w, str) for w in want)
+
+    @pytest.mark.parametrize(
+        "ports, digest",
+        [
+            (4, "9b15a2f7a1ef799bc1df3f169dfe076fd34252e8001fdb9476efab3f078f6beb"),
+            (8, "538e18b6f5b75a204e38d01124b2840f9b876b9d905397722bb4b06ccf6e3fa2"),
+        ],
+    )
+    def test_paper_topologies_pinned(self, ports, digest):
+        t = make_topology(get_preset("paper"), ports, 0)
+        links = json.dumps(sorted(t.links)).encode()
+        assert hashlib.sha256(links).hexdigest() == digest
