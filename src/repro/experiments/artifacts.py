@@ -208,16 +208,21 @@ class ArtifactCache:
     shared tier so peers benefit.  A corrupted shared entry fails its
     checksum on import and is ignored — a bad peer can slow this host
     down (it rebuilds), but can never poison its results.
+
+    *root* ``None`` keeps the in-process tier alone: nothing is encoded,
+    written or tallied on disk, which suits a run that executes in one
+    process and is discarded after it (an evicted object is rebuilt).
     """
 
     def __init__(
         self,
-        root: Union[str, Path],
+        root: Optional[Union[str, Path]],
         max_memory_entries: int = DEFAULT_MEMORY_ENTRIES,
         shared_root: Optional[Union[str, Path]] = None,
     ) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.root = None if root is None else Path(root)
+        if self.root is not None:
+            self.root.mkdir(parents=True, exist_ok=True)
         self.shared_root = Path(shared_root) if shared_root else None
         if self.shared_root is not None:
             self.shared_root.mkdir(parents=True, exist_ok=True)
@@ -259,6 +264,8 @@ class ArtifactCache:
         as a miss; the next successful publication atomically replaces
         the bad file.
         """
+        if self.root is None:
+            return None
         _raw, payload, suspect = _validated_entry_raw(
             self.entry_path(digest), kind
         )
@@ -375,8 +382,9 @@ class ArtifactCache:
                 self._memory_put(digest, obj)
                 return obj
         obj = build()
-        if not self._publish(digest, kind, key, encode(obj)):
-            pass  # built locally; another writer owns publication
+        if self.root is not None:
+            # a skipped publish is fine: another writer owns publication
+            self._publish(digest, kind, key, encode(obj))
         self.counters.misses += 1
         self._memory_put(digest, obj)
         return obj
@@ -476,7 +484,7 @@ class ArtifactCache:
         when nothing changed.
         """
         delta = self.counters.delta_since(self._flushed)
-        if not any(delta.values()):
+        if self.root is None or not any(delta.values()):
             return
         with open(self._counters_path, "ab") as fh:
             if fcntl is not None:
@@ -632,21 +640,22 @@ _PROCESS_CACHE: Optional[ArtifactCache] = None
 
 
 def set_process_cache(
-    path: Optional[Union[str, Path]],
+    path: Optional[Union[str, Path, ArtifactCache]],
     shared: Optional[Union[str, Path]] = None,
 ) -> None:
-    """(Re)bind the process-wide cache.  ``None`` disables it.
+    """(Re)bind the process-wide cache.  ``None`` disables it; an
+    :class:`ArtifactCache` instance is bound as is (*shared* ignored).
 
-    Also the :class:`~concurrent.futures.ProcessPoolExecutor`
-    initializer: workers receive the store path once at pool start and
+    The :class:`~concurrent.futures.ProcessPoolExecutor` initializer
+    binds through it: workers receive the store path once at pool start and
     every :func:`~repro.experiments.parallel.run_unit` in the process
     shares one instance (and therefore one decoded-object LRU).
     *shared* names the optional multi-host read-through tier behind
     the local store.
     """
     global _PROCESS_CACHE
-    if path is None:
-        _PROCESS_CACHE = None
+    if path is None or isinstance(path, ArtifactCache):
+        _PROCESS_CACHE = path
         return
     shared_root = Path(shared) if shared is not None else None
     if (

@@ -98,11 +98,14 @@ def run_campaign(
     ``out_dir/artifact_cache`` unless *artifact_cache* names another
     store): the (topology, tree, routing) tuples the 4-port Figure-8
     stage builds are reused by every later stage and every re-run.
-    *use_artifact_cache=False* disables it (every unit rebuilds, as
-    before).  The cache is orthogonal to both resume levels — ledgers
-    record simulation *results*, the cache stores construction
-    *inputs* — and results are bit-identical with it on or off, so
-    ``--force`` re-simulates everything without needing to clear it.
+    *use_artifact_cache=False* names no store: each process that runs
+    a stage's units then shares constructions in memory only for that
+    run (see :func:`~repro.experiments.parallel.run_parallel`), and
+    nothing is shared across stages or runs.  The cache is orthogonal to both
+    resume levels — ledgers record simulation *results*, the cache
+    stores construction *inputs* — and results are bit-identical with
+    it on or off, so ``--force`` re-simulates everything without
+    needing to clear it.
 
     A ``manifest.json`` records preset parameters, stage timings,
     ledger tallies, artifact-cache totals (hits/misses/entries), any

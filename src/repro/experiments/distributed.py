@@ -84,6 +84,7 @@ from repro.experiments.parallel import (
     DEFAULT_RETRIES,
     UnitFailure,
     WorkUnit,
+    _worker_init,
     execute_unit,
 )
 from repro.util.fsio import atomic_write_text
@@ -503,7 +504,9 @@ def run_distributed(
     per-unit *unit_timeout* watchdog of
     :func:`~repro.experiments.parallel.execute_unit`, so a hung
     simulation is charged a failed attempt instead of renewing its
-    lease forever.
+    lease forever.  Units construct through the store at *cache_path*,
+    or without one through an in-process cache; the caller's binding
+    is restored on return.
     """
     units = list(units)
     total = len(units)
@@ -517,10 +520,6 @@ def run_distributed(
 
     worker = _sanitize(config.worker)
     tag = f"[dist/{worker}]"
-    set_process_cache(
-        None if cache_path is None else str(cache_path),
-        shared=None if config.shared_cache is None else str(config.shared_cache),
-    )
 
     digests = [unit_digest(u) for u in units]
     wanted = set(digests)
@@ -532,6 +531,10 @@ def run_distributed(
     # the shard's flock is the one-live-process-per-worker-id guarantee
     # the own-lease instant-reclaim rule depends on
     ledger = ResultLedger(stage_dir / f"{SHARD_PREFIX}{worker}.jsonl")
+    previous_cache = _worker_init(
+        None if cache_path is None else str(cache_path),
+        None if config.shared_cache is None else str(config.shared_cache),
+    )
     try:
         while True:
             scanner.scan()
@@ -644,6 +647,7 @@ def run_distributed(
                 time.sleep(config.poll_interval)
     finally:
         ledger.close()
+        set_process_cache(previous_cache)
 
     results, stage_failures = merge_stage(units, stage_dir)
     if failures is not None:

@@ -17,7 +17,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -25,19 +24,10 @@ from typing import (
 )
 
 from repro.experiments.configs import ExperimentPreset
-
-if TYPE_CHECKING:  # import cycle-free annotation only
-    from repro.experiments.parallel import UnitFailure
-from repro.experiments.harness import (
-    PAPER_ALGORITHMS,
-    PAPER_METHODS,
-    build_routings,
-    make_topology,
-)
-from repro.metrics.saturation import sweep_injection_rates
+from repro.experiments.harness import PAPER_ALGORITHMS, PAPER_METHODS
+from repro.experiments.parallel import UnitFailure, figure8_units, run_stage
 from repro.util.ascii_plot import ascii_xy_plot
 from repro.util.fsio import atomic_write_text
-from repro.util.rng import derive_seed
 from repro.util.tables import format_csv
 
 if TYPE_CHECKING:  # import cycle-free annotation only
@@ -63,7 +53,7 @@ class Figure8Result:
     raw: List[Tuple[str, str, int, float, float, float]] = field(
         default_factory=list
     )  # (algorithm, method, sample, offered, accepted, latency)
-    failures: List["UnitFailure"] = field(default_factory=list)
+    failures: List[UnitFailure] = field(default_factory=list)
 
     def saturation_throughput(self, key: str) -> float:
         """Max mean accepted traffic of one series."""
@@ -125,10 +115,11 @@ def run_figure8(
     """Regenerate Figure 8 for one port configuration.
 
     Writes ``figure8_<ports>port.csv`` (raw points) and ``.txt`` (ASCII
-    plot) into *out_dir* when given.  ``workers > 1`` fans the
-    independent simulations over a process pool
-    (:mod:`repro.experiments.parallel`); results are bit-identical to
-    the serial run.
+    plot) into *out_dir* when given.  The work list
+    (:func:`~repro.experiments.parallel.figure8_units`) runs through
+    :func:`~repro.experiments.parallel.run_stage` at every worker
+    count: ``workers > 1`` fans it over a process pool, one worker
+    runs it in-process, and results are bit-identical either way.
 
     *ledger_path* makes the run durable: every completed unit streams
     to an append-only :class:`~repro.experiments.ledger.ResultLedger`,
@@ -145,7 +136,9 @@ def run_figure8(
     *artifact_cache* points the run at a content-addressed construction
     cache (:mod:`repro.experiments.artifacts`): each (topology, tree,
     routing) is built once and reused by every offered load and every
-    subsequent run.  Results are bit-identical with it on or off.
+    subsequent run.  Without it each process that runs units still
+    shares every construction across offered loads, in memory.  Results
+    are bit-identical with a store or without.
 
     *distributed* joins a shared multi-host campaign instead of running
     alone: this process becomes one worker of
@@ -154,109 +147,40 @@ def run_figure8(
     config's campaign dir, deterministic merge).  The aggregates — and
     therefore the artefacts — are byte-identical to a single-host run.
     *unit_timeout* bounds each unit's wall time (hung simulations are
-    charged a failed attempt instead of stalling the run) on both the
-    pooled and distributed paths.
+    charged a failed attempt instead of stalling the run) on every
+    path: serial, pooled and distributed.
     """
     result = Figure8Result(ports=ports, preset=preset.name)
-    rates = preset.rates_for(ports)
+    records = run_stage(
+        figure8_units(preset, ports, methods, algorithms),
+        f"figure8-{ports}port",
+        workers=workers,
+        progress=progress,
+        ledger_path=ledger_path,
+        resume=resume,
+        retries=retries,
+        clock=clock,
+        cache_path=artifact_cache,
+        distributed=distributed,
+        unit_timeout=unit_timeout,
+        failures=result.failures,
+    )
     acc: Dict[Tuple[str, str, float], List[float]] = {}
     lat: Dict[Tuple[str, str, float], List[float]] = {}
-
-    records: Optional[List[Dict[str, object]]] = None
-    if distributed is not None:
-        from repro.experiments.distributed import run_distributed
-        from repro.experiments.parallel import figure8_units
-
-        units = figure8_units(preset, ports, methods, algorithms)
-        records = run_distributed(
-            units,
-            distributed.stage_dir(f"figure8-{ports}port"),
-            distributed,
-            progress=progress,
-            retries=retries,
-            unit_timeout=unit_timeout,
-            cache_path=artifact_cache,
-            failures=result.failures,
-        )
-    elif workers > 1 or ledger_path is not None or preset.replicas > 1:
-        # replicated presets must expand into per-replica work units even
-        # on the serial path — the inline sweep below knows nothing about
-        # replicas and would silently run each cell once
-        from repro.experiments.ledger import ResultLedger
-        from repro.experiments.parallel import figure8_units, run_parallel
-
-        units = figure8_units(preset, ports, methods, algorithms)
-        ledger = (
-            ResultLedger(ledger_path, resume=resume)
-            if ledger_path is not None
-            else None
-        )
-        kwargs = {} if retries is None else {"retries": retries}
-        try:
-            records = run_parallel(
-                units,
-                max_workers=workers,
-                progress=progress,
-                ledger=ledger,
-                clock=clock,
-                failures=result.failures,
-                cache_path=artifact_cache,
-                unit_timeout=unit_timeout,
-                **kwargs,
-            )
-        finally:
-            if ledger is not None:
-                ledger.close()
-
-    if records is not None:
-        for res in records:
-            # replicated presets append a replica index to the unit key;
-            # each replica aggregates as one more independent observation
-            alg, method, _ports, sample, rate = res["key"][:5]
-            accepted, latency = res["accepted"], res["latency"]
-            result.raw.append((alg, method, sample, rate, accepted, latency))
-            acc.setdefault((alg, method, rate), []).append(accepted)
-            lat.setdefault((alg, method, rate), []).append(latency)
-    else:
-        cache = None
-        if artifact_cache is not None:
-            from repro.experiments.artifacts import ArtifactCache
-
-            cache = ArtifactCache(artifact_cache)
-        for sample in range(preset.samples):
-            topology = make_topology(preset, ports, sample, cache=cache)
-            routings = build_routings(
-                topology,
-                preset,
-                sample,
-                methods=methods,
-                algorithms=algorithms,
-                cache=cache,
-            )
-            if cache is not None:
-                cache.flush_counters()
-            for (alg, method), (routing, _tree) in routings.items():
-                seed = derive_seed(preset.seed, 0xF18, ports, sample)
-                cfg = preset.sim_config(seed)
-                points = sweep_injection_rates(routing, cfg, rates, progress=None)
-                for p in points:
-                    result.raw.append(
-                        (alg, method, sample, p.offered, p.accepted, p.latency)
-                    )
-                    acc.setdefault((alg, method, p.offered), []).append(p.accepted)
-                    lat.setdefault((alg, method, p.offered), []).append(p.latency)
-                if progress is not None:
-                    sat = max(p.accepted for p in points)
-                    progress(
-                        f"[fig8/{ports}p] sample {sample} {alg}/{method}: "
-                        f"saturation ~{sat:.4f} flits/clock/node"
-                    )
+    for res in records:
+        # replicated presets append a replica index to the unit key;
+        # each replica aggregates as one more independent observation
+        alg, method, _ports, sample, rate = res["key"][:5]
+        accepted, latency = res["accepted"], res["latency"]
+        result.raw.append((alg, method, sample, rate, accepted, latency))
+        acc.setdefault((alg, method, rate), []).append(accepted)
+        lat.setdefault((alg, method, rate), []).append(latency)
 
     # aggregate: mean accepted and mean latency per (alg, method, rate)
     for alg in algorithms:
         for method in methods:
             pts: List[Tuple[float, float]] = []
-            for rate in rates:
+            for rate in preset.rates_for(ports):
                 a = acc.get((alg, method, rate))
                 l = lat.get((alg, method, rate))
                 if a:

@@ -4,7 +4,7 @@ The paper's evaluation is embarrassingly parallel — every (sample,
 algorithm, method, rate) simulation is independent — and the archival
 presets take tens of minutes serially in Python.  This module fans the
 work units out over processes with :mod:`concurrent.futures`, keeping
-results bit-identical to the serial harness: every unit re-derives its
+results bit-identical to a one-worker run: every unit re-derives its
 topology/tree/routing from the preset seed inside the worker (cheap
 next to the simulation), so nothing non-picklable crosses process
 boundaries and the scheduling order cannot affect any RNG stream.
@@ -42,6 +42,9 @@ Execution is fault-tolerant infrastructure, not a bare ``pool.map``:
   the per-clock dispatch wall R ways.
 
 
+:func:`run_stage` is the one executor of the Figure-8 and Tables
+stages: it picks distributed or local execution and owns the ledger.
+
 Progress lines share one format across the serial and pooled paths —
 ``[done/total] <key> ok attempt=N`` — so retry activity is visible, and
 an ETA (from the injectable wall clock, never read directly per
@@ -58,6 +61,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Deque,
     Dict,
@@ -66,10 +70,16 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
-from repro.experiments.artifacts import process_cache, set_process_cache
+from repro.core.coordinated_tree import CoordinatedTree
+from repro.experiments.artifacts import (
+    ArtifactCache,
+    process_cache,
+    set_process_cache,
+)
 from repro.experiments.configs import ExperimentPreset
 from repro.experiments.harness import (
     PAPER_ALGORITHMS,
@@ -78,11 +88,19 @@ from repro.experiments.harness import (
     make_topology,
 )
 from repro.experiments.ledger import ResultLedger, unit_digest
+from repro.metrics.utilization import utilization_report
+from repro.routing.base import RoutingFunction
 from repro.simulator.config import RELAXED_ENGINES
 from repro.simulator.engine import simulate
 from repro.simulator.replica_batch import replica_seed, run_replicated
+from repro.simulator.stats import SimulationStats
 from repro.util.rng import derive_seed
 from repro.util.wallclock import Clock, resolve_clock
+
+if TYPE_CHECKING:  # import cycle-free annotation only
+    from repro.experiments.distributed import WorkerConfig
+
+_T = TypeVar("_T")
 
 #: default extra attempts per unit after its first failure
 DEFAULT_RETRIES = 2
@@ -116,8 +134,9 @@ class WorkUnit:
     algorithm: str
     method: str
     rate: float
-    #: seed-derivation salt; matches the serial harness constants
-    #: (0xF18 for Figure-8 sweeps, 0x7AB for the saturated table runs)
+    #: seed-derivation salt: 0xF18 for Figure-8 sweeps, 0x7AB for the
+    #: saturated table runs (set by :func:`figure8_units` /
+    #: :func:`tables_units`, the only place these constants live)
     seed_salt: int = 0xF18
     #: seed-replica index (``preset.replicas > 1`` expands each cell);
     #: replica 0 is the classic unit — same seed, same key, same ledger
@@ -193,12 +212,50 @@ def tables_units(
     ]
 
 
+def _construct(unit: WorkUnit) -> Tuple[RoutingFunction, CoordinatedTree]:
+    """The unit's (routing, tree), built or served by the process cache."""
+    cache = process_cache()
+    topology = make_topology(unit.preset, unit.ports, unit.sample, cache=cache)
+    routings = build_routings(
+        topology,
+        unit.preset,
+        unit.sample,
+        methods=(unit.method,),
+        algorithms=(unit.algorithm,),
+        cache=cache,
+    )
+    if cache is not None:
+        # durable per-unit flush: hit/miss tallies survive SIGKILL
+        cache.flush_counters()
+    return routings[(unit.algorithm, unit.method)]
+
+
+def _cell_seed(unit: WorkUnit) -> int:
+    """The seed every replica of the unit's cell branches off."""
+    return derive_seed(unit.preset.seed, unit.seed_salt, unit.ports, unit.sample)
+
+
+def _unit_result(
+    unit: WorkUnit, stats: SimulationStats, tree: CoordinatedTree, relaxed: bool
+) -> Dict[str, object]:
+    result = {
+        "key": unit.key(),
+        "accepted": stats.accepted_traffic,
+        "latency": stats.average_latency,
+        "report": utilization_report(stats.channel_utilization(), tree),
+    }
+    if relaxed:
+        result["equivalence"] = "statistical"
+        result["fingerprint"] = stats.statistical_fingerprint()
+    return result
+
+
 def run_unit(unit: WorkUnit) -> Dict[str, object]:
     """Execute one work unit.
 
     Derives topology, tree and routing deterministically from the
     preset seed — through the process-bound artifact cache when one is
-    set (see :func:`repro.experiments.artifacts.set_process_cache`), so
+    set (the executors bind it through :func:`_worker_init`), so
     sibling units sharing a routing construct it once per campaign, not
     once per unit — then simulates and returns a plain dict: the unit
     key, the headline numbers, and the per-channel utilization needed
@@ -210,38 +267,13 @@ def run_unit(unit: WorkUnit) -> Dict[str, object]:
     with their ``statistical_fingerprint`` and equivalence tier so
     downstream artefacts stay honest about how they were produced.
     """
-    cache = process_cache()
-    topology = make_topology(unit.preset, unit.ports, unit.sample, cache=cache)
-    routings = build_routings(
-        topology,
-        unit.preset,
-        unit.sample,
-        methods=(unit.method,),
-        algorithms=(unit.algorithm,),
-        cache=cache,
-    )
-    routing, tree = routings[(unit.algorithm, unit.method)]
-    if cache is not None:
-        # durable per-unit flush: hit/miss tallies survive SIGKILL
-        cache.flush_counters()
-    seed = derive_seed(unit.preset.seed, unit.seed_salt, unit.ports, unit.sample)
+    routing, tree = _construct(unit)
     # replica 0 keeps the classic seed; higher replicas branch off it
     # through the counter-hash scheme shared with the fused sweep
-    seed = replica_seed(seed, unit.replica)
+    seed = replica_seed(_cell_seed(unit), unit.replica)
     cfg = unit.preset.sim_config(seed).with_rate(unit.rate)
-    stats = simulate(routing, cfg)
-    from repro.metrics.utilization import utilization_report
-
-    result = {
-        "key": unit.key(),
-        "accepted": stats.accepted_traffic,
-        "latency": stats.average_latency,
-        "report": utilization_report(stats.channel_utilization(), tree),
-    }
-    if cfg.resolved_engine in RELAXED_ENGINES:
-        result["equivalence"] = "statistical"
-        result["fingerprint"] = stats.statistical_fingerprint()
-    return result
+    relaxed = cfg.resolved_engine in RELAXED_ENGINES
+    return _unit_result(unit, simulate(routing, cfg), tree, relaxed)
 
 
 def run_unit_group(group: Sequence[WorkUnit]) -> List[Dict[str, object]]:
@@ -263,47 +295,29 @@ def run_unit_group(group: Sequence[WorkUnit]) -> List[Dict[str, object]]:
     if len(group) == 1:
         return [run_unit(group[0])]
     first = group[0]
-    cache = process_cache()
-    topology = make_topology(first.preset, first.ports, first.sample, cache=cache)
-    routings = build_routings(
-        topology,
-        first.preset,
-        first.sample,
-        methods=(first.method,),
-        algorithms=(first.algorithm,),
-        cache=cache,
-    )
-    routing, tree = routings[(first.algorithm, first.method)]
-    if cache is not None:
-        cache.flush_counters()
-    base = derive_seed(
-        first.preset.seed, first.seed_salt, first.ports, first.sample
-    )
+    routing, tree = _construct(first)
+    base = _cell_seed(first)
     cfg = first.preset.sim_config(base).with_rate(first.rate)
     if cfg.resolved_engine not in RELAXED_ENGINES:
         # bit-exact engines gain nothing from stacking (and the fused
         # driver is batch-only)
         return [run_unit(u) for u in group]
     seeds = [replica_seed(base, u.replica) for u in group]
-    from repro.metrics.utilization import utilization_report
-
-    out: List[Dict[str, object]] = []
-    for unit, stats in zip(group, run_replicated(routing, cfg, seeds=seeds)):
-        out.append(
-            {
-                "key": unit.key(),
-                "accepted": stats.accepted_traffic,
-                "latency": stats.average_latency,
-                "report": utilization_report(stats.channel_utilization(), tree),
-                "equivalence": "statistical",
-                "fingerprint": stats.statistical_fingerprint(),
-            }
-        )
-    return out
+    return [
+        _unit_result(unit, stats, tree, True)
+        for unit, stats in zip(group, run_replicated(routing, cfg, seeds=seeds))
+    ]
 
 
-def _arm_watchdog(unit_timeout: Optional[float]) -> Optional[Callable[[], None]]:
+def _arm_watchdog(
+    unit_timeout: Optional[float],
+) -> Optional[Callable[[], Optional[UnitTimeout]]]:
     """Arm a SIGALRM wall-time watchdog; returns the disarm callable.
+
+    Disarming returns the :class:`UnitTimeout` the alarm raised, if it
+    fired: a signal handler that runs inside a gc or ``__del__``
+    callback has its exception discarded, so the caller re-raises it
+    for a unit that overran its budget yet returned.
 
     Only armed where it can work: a POSIX platform with ``SIGALRM`` and
     the process's main thread (signal handlers are a main-thread-only
@@ -321,19 +335,58 @@ def _arm_watchdog(unit_timeout: Optional[float]) -> Optional[Callable[[], None]]
     if threading.current_thread() is not threading.main_thread():
         return None
 
+    overrun: List[UnitTimeout] = []
+
     def _on_alarm(signum, frame):
-        raise UnitTimeout(
-            f"unit exceeded its {unit_timeout:g}s wall-time budget"
+        overrun.append(
+            UnitTimeout(f"unit exceeded its {unit_timeout:g}s wall-time budget")
         )
+        raise overrun[0]
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, unit_timeout)
 
-    def disarm() -> None:
+    def disarm() -> Optional[UnitTimeout]:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+        return overrun[0] if overrun else None
 
     return disarm
+
+
+def _watched(
+    run: Callable[[], _T],
+    first: WorkUnit,
+    attempt: int,
+    budget: Optional[float],
+) -> _T:
+    """Run *run* under the wall-time watchdog and the test fault hook.
+
+    The hook (:data:`TEST_FAULT_ENV`) fires when *first* — the task's
+    lead unit — runs the named algorithm within its attempt bound.
+    """
+    disarm = _arm_watchdog(budget)
+    try:
+        spec = os.environ.get(TEST_FAULT_ENV)
+        if spec:
+            alg, mode, max_attempt = spec.rsplit(":", 2)
+            if first.algorithm == alg and attempt <= int(max_attempt):
+                if mode == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if mode == "hang":
+                    import time
+
+                    while True:  # interruptible only by the watchdog
+                        time.sleep(0.02)
+                raise RuntimeError(
+                    f"injected test fault: {first.key()} attempt={attempt}"
+                )
+        result = run()
+    finally:
+        overrun = None if disarm is None else disarm()
+    if overrun is not None:
+        raise overrun  # the alarm fired but its raise was swallowed
+    return result
 
 
 def execute_unit(
@@ -348,26 +401,7 @@ def execute_unit(
     executing process's main thread) and flows through the ordinary
     retry machinery instead of stalling collection.
     """
-    disarm = _arm_watchdog(unit_timeout)
-    try:
-        spec = os.environ.get(TEST_FAULT_ENV)
-        if spec:
-            alg, mode, max_attempt = spec.rsplit(":", 2)
-            if unit.algorithm == alg and attempt <= int(max_attempt):
-                if mode == "kill":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                if mode == "hang":
-                    import time
-
-                    while True:  # interruptible only by the watchdog
-                        time.sleep(0.02)
-                raise RuntimeError(
-                    f"injected test fault: {unit.key()} attempt={attempt}"
-                )
-        return run_unit(unit)
-    finally:
-        if disarm is not None:
-            disarm()
+    return _watched(lambda: run_unit(unit), unit, attempt, unit_timeout)
 
 
 def execute_unit_group(
@@ -377,33 +411,13 @@ def execute_unit_group(
 ) -> List[Dict[str, object]]:
     """Pool/serial entry point for a folded replica group.
 
-    Mirrors :func:`execute_unit` — SIGALRM watchdog plus the test-only
-    fault hook — around :func:`run_unit_group`.  The wall-time budget
-    scales with the group size: the fused sweep does the work of
-    ``len(group)`` units, so each member still gets *unit_timeout*
-    seconds of budget on average.
+    Mirrors :func:`execute_unit` around :func:`run_unit_group`.  The
+    wall-time budget scales with the group size: the fused sweep does
+    the work of ``len(group)`` units, so each member still gets
+    *unit_timeout* seconds of budget on average.
     """
     budget = None if unit_timeout is None else unit_timeout * len(group)
-    disarm = _arm_watchdog(budget)
-    try:
-        spec = os.environ.get(TEST_FAULT_ENV)
-        if spec:
-            alg, mode, max_attempt = spec.rsplit(":", 2)
-            if group[0].algorithm == alg and attempt <= int(max_attempt):
-                if mode == "kill":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                if mode == "hang":
-                    import time
-
-                    while True:  # interruptible only by the watchdog
-                        time.sleep(0.02)
-                raise RuntimeError(
-                    f"injected test fault: {group[0].key()} attempt={attempt}"
-                )
-        return run_unit_group(group)
-    finally:
-        if disarm is not None:
-            disarm()
+    return _watched(lambda: run_unit_group(group), group[0], attempt, budget)
 
 
 def _execute_task(
@@ -423,16 +437,26 @@ def _execute_task(
 
 def _worker_init(
     cache_path: Optional[str], shared_cache_path: Optional[str] = None
-) -> None:
-    """Pool initializer: bind the shared artifact cache in each worker.
+) -> Optional[ArtifactCache]:
+    """Bind the run's artifact cache in this process; return the old one.
 
+    The pool initializer, and the binder of the serial and distributed
+    executors, which restore the returned binding when they finish.
     The paths travel via ``initargs`` — not as :class:`WorkUnit`
     fields — because unit digests (ledger resume identity) must not
-    depend on whether a cache is in use.  *shared_cache_path* adds the
-    optional multi-host read-through tier (entries checksum-verified on
-    import; see :class:`~repro.experiments.artifacts.ArtifactCache`).
+    depend on whether a cache is in use.  Without *cache_path* the
+    process gets an in-memory-only ``ArtifactCache(None)``, so its
+    units still build each (topology, tree, routing) once instead of
+    once per unit.  *shared_cache_path* adds the optional multi-host
+    read-through tier (entries checksum-verified on import; see
+    :class:`~repro.experiments.artifacts.ArtifactCache`).
     """
-    set_process_cache(cache_path, shared=shared_cache_path)
+    previous = process_cache()
+    if cache_path is None:
+        set_process_cache(ArtifactCache(None))
+    else:
+        set_process_cache(cache_path, shared=shared_cache_path)
+    return previous
 
 
 def default_max_workers() -> int:
@@ -466,8 +490,8 @@ def run_parallel(
 
     ``max_workers`` defaults to the process's usable CPU count
     (:func:`default_max_workers`).  With one worker (or one pending
-    unit) the pool is skipped entirely — same code path as the serial
-    harness, same retry/ledger semantics, useful under debuggers.
+    unit) the pool is skipped entirely — the units run in this process
+    with the same retry/ledger semantics, useful under debuggers.
 
     *ledger* streams every completed unit to disk and, when it was
     opened with ``resume=True``, skips units already recorded — the
@@ -483,6 +507,8 @@ def run_parallel(
     *cache_path* points every worker (and the serial fallback) at one
     shared content-addressed artifact store; workers populate and read
     it race-free (atomic publication, checksum-verified reads).
+    Without it each executing process shares constructions in memory
+    only, so a routing is still built once per process, not per unit.
     *shared_cache_path* adds the optional multi-host read-through tier
     behind the local store (entries are checksum-verified on import, so
     a corrupted peer cannot poison this host's results).
@@ -609,29 +635,32 @@ def run_parallel(
     shared_arg = None if shared_cache_path is None else str(shared_cache_path)
 
     if max_workers <= 1 or len(tasks) <= 1:
-        if cache_arg is not None:
-            set_process_cache(cache_arg, shared=shared_arg)
-        for task in tasks:
-            attempt = 1
-            while True:
-                try:
-                    res_list = _execute_task(
-                        [units[i] for i in task], attempt, unit_timeout
-                    )
-                except Exception as exc:
-                    if attempt > retries:
-                        for i in task:
-                            finish_failed(i, attempt, exc)
-                        break
-                    say(
-                        f"[retry] {label(task)} attempt={attempt} "
-                        f"raised {exc!r}; retrying"
-                    )
-                    attempt += 1
-                    continue
-                for i, res in zip(task, res_list):
-                    finish_ok(i, attempt, res)
-                break
+        # this process is the worker; the caller's binding comes back after
+        previous_cache = _worker_init(cache_arg, shared_arg)
+        try:
+            for task in tasks:
+                attempt = 1
+                while True:
+                    try:
+                        res_list = _execute_task(
+                            [units[i] for i in task], attempt, unit_timeout
+                        )
+                    except Exception as exc:
+                        if attempt > retries:
+                            for i in task:
+                                finish_failed(i, attempt, exc)
+                            break
+                        say(
+                            f"[retry] {label(task)} attempt={attempt} "
+                            f"raised {exc!r}; retrying"
+                        )
+                        attempt += 1
+                        continue
+                    for i, res in zip(task, res_list):
+                        finish_ok(i, attempt, res)
+                    break
+        finally:
+            set_process_cache(previous_cache)
         return [results_by_idx[i] for i in sorted(results_by_idx)]
 
     pending: Deque[Tuple[List[int], int]] = deque((t, 1) for t in tasks)
@@ -761,3 +790,67 @@ def run_parallel(
             pool.shutdown(wait=True)
 
     return [results_by_idx[i] for i in sorted(results_by_idx)]
+
+
+def run_stage(
+    units: Sequence[WorkUnit],
+    stage: str,
+    *,
+    workers: int = 1,
+    progress: Optional[Callable[[str], None]] = None,
+    ledger_path: Optional[Path] = None,
+    resume: bool = True,
+    retries: Optional[int] = None,
+    clock: Optional[Clock] = None,
+    cache_path: Optional[Path] = None,
+    distributed: Optional["WorkerConfig"] = None,
+    unit_timeout: Optional[float] = None,
+    failures: Optional[List[UnitFailure]] = None,
+) -> List[Dict[str, object]]:
+    """Execute one experiment stage's work list; results in input order.
+
+    The single execution path of the Figure-8 and Tables stages.  With
+    *distributed*, this process joins the shared campaign as one worker
+    of :func:`~repro.experiments.distributed.run_distributed` under
+    ``<campaign>/<stage>``; otherwise :func:`run_parallel` runs the
+    units on *workers* processes (serially in-process at one), streaming
+    to a :class:`~repro.experiments.ledger.ResultLedger` at
+    *ledger_path* when given and closing it on return.  *retries*
+    defaults to :data:`DEFAULT_RETRIES`; exhausted units land in
+    *failures*.  *cache_path* names the artifact store; without one
+    both executors still build each (topology, tree, routing) once per
+    process, in memory.
+    """
+    if distributed is not None:
+        from repro.experiments.distributed import run_distributed
+
+        return run_distributed(
+            units,
+            distributed.stage_dir(stage),
+            distributed,
+            progress=progress,
+            retries=retries,
+            unit_timeout=unit_timeout,
+            cache_path=cache_path,
+            failures=failures,
+        )
+    ledger = (
+        ResultLedger(ledger_path, resume=resume)
+        if ledger_path is not None
+        else None
+    )
+    try:
+        return run_parallel(
+            units,
+            max_workers=workers,
+            progress=progress,
+            ledger=ledger,
+            retries=DEFAULT_RETRIES if retries is None else retries,
+            clock=clock,
+            failures=failures,
+            cache_path=cache_path,
+            unit_timeout=unit_timeout,
+        )
+    finally:
+        if ledger is not None:
+            ledger.close()

@@ -37,15 +37,12 @@ from repro.experiments.harness import (
     build_routings,
     make_topology,
 )
-from repro.metrics.saturation import measure_at_saturation
-from repro.metrics.utilization import utilization_report
+from repro.experiments.parallel import UnitFailure, run_stage, tables_units
 from repro.util.fsio import atomic_write_text
-from repro.util.rng import derive_seed
 from repro.util.tables import format_csv
 
 if TYPE_CHECKING:  # import cycle-free annotation only
     from repro.experiments.distributed import WorkerConfig
-    from repro.experiments.parallel import UnitFailure
 
 #: metric key -> (paper table number, pretty title)
 TABLE_METRICS: Dict[str, Tuple[int, str]] = {
@@ -76,7 +73,7 @@ class TablesResult:
     raw: List[Tuple[str, str, str, int, int, float]] = field(
         default_factory=list
     )  # (metric, algorithm, method, ports, sample, value)
-    failures: List["UnitFailure"] = field(default_factory=list)
+    failures: List[UnitFailure] = field(default_factory=list)
 
     def value(self, metric: str, algorithm: str, method: str, ports: int) -> float:
         """Mean value of one cell of a paper table."""
@@ -129,8 +126,10 @@ def run_tables(
 ) -> TablesResult:
     """Regenerate Tables 1-4 by simulation at saturation.
 
-    ``workers > 1`` distributes the saturated runs over a process pool
-    (:mod:`repro.experiments.parallel`).  *ledger_path* streams every
+    The work list (:func:`~repro.experiments.parallel.tables_units`)
+    runs through :func:`~repro.experiments.parallel.run_stage` at every
+    worker count; ``workers > 1`` distributes the saturated runs over a
+    process pool.  *ledger_path* streams every
     completed unit to a durable
     :class:`~repro.experiments.ledger.ResultLedger` and (with *resume*)
     skips units already recorded, merging them back in input order —
@@ -147,114 +146,32 @@ def run_tables(
     """
     ports_list = tuple(ports_list if ports_list is not None else preset.ports)
     result = TablesResult(preset=preset.name, kind="simulated", samples=preset.samples)
+    records = run_stage(
+        tables_units(preset, ports_list, methods, algorithms),
+        "tables",
+        workers=workers,
+        progress=progress,
+        ledger_path=ledger_path,
+        resume=resume,
+        retries=retries,
+        clock=clock,
+        cache_path=artifact_cache,
+        distributed=distributed,
+        unit_timeout=unit_timeout,
+        failures=result.failures,
+    )
     thr: Dict[Tuple[str, str, int], List[float]] = {}
-
-    records: Optional[List[Dict[str, object]]] = None
-    if distributed is not None:
-        from repro.experiments.distributed import run_distributed
-        from repro.experiments.parallel import tables_units
-
-        units = tables_units(preset, ports_list, methods, algorithms)
-        records = run_distributed(
-            units,
-            distributed.stage_dir("tables"),
-            distributed,
-            progress=progress,
-            retries=retries,
-            unit_timeout=unit_timeout,
-            cache_path=artifact_cache,
-            failures=result.failures,
-        )
-    elif workers > 1 or ledger_path is not None or preset.replicas > 1:
-        # replicated presets must expand into per-replica work units even
-        # on the serial path — the inline sweep below knows nothing about
-        # replicas and would silently run each cell once
-        from repro.experiments.ledger import ResultLedger
-        from repro.experiments.parallel import run_parallel, tables_units
-
-        units = tables_units(preset, ports_list, methods, algorithms)
-        ledger = (
-            ResultLedger(ledger_path, resume=resume)
-            if ledger_path is not None
-            else None
-        )
-        kwargs = {} if retries is None else {"retries": retries}
-        try:
-            records = run_parallel(
-                units,
-                max_workers=workers,
-                progress=progress,
-                ledger=ledger,
-                clock=clock,
-                failures=result.failures,
-                cache_path=artifact_cache,
-                unit_timeout=unit_timeout,
-                **kwargs,
-            )
-        finally:
-            if ledger is not None:
-                ledger.close()
-
-    if records is not None:
-        for res in records:
-            # replicated presets append a replica index to the unit key;
-            # each replica aggregates as one more independent observation
-            alg, method, ports, sample, _rate = res["key"][:5]
-            report = dict(res["report"])
-            for metric in _metric_order(report):
-                result.raw.append(
-                    (metric, alg, method, ports, sample, report[metric])
-                )
-            thr.setdefault((alg, method, ports), []).append(res["accepted"])
-        _aggregate(result)
-        for key, vals in thr.items():
-            result.throughput[key] = sum(vals) / len(vals)
-        if out_dir is not None:
-            atomic_write_text(
-                Path(out_dir) / "tables_simulated.csv", result.to_csv() + "\n"
-            )
-        return result
-
-    cache = None
-    if artifact_cache is not None:
-        from repro.experiments.artifacts import ArtifactCache
-
-        cache = ArtifactCache(artifact_cache)
-    for ports in ports_list:
-        for sample in range(preset.samples):
-            topology = make_topology(preset, ports, sample, cache=cache)
-            routings = build_routings(
-                topology,
-                preset,
-                sample,
-                methods=methods,
-                algorithms=algorithms,
-                cache=cache,
-            )
-            if cache is not None:
-                cache.flush_counters()
-            for (alg, method), (routing, tree) in routings.items():
-                seed = derive_seed(preset.seed, 0x7AB, ports, sample)
-                cfg = preset.sim_config(seed)
-                stats = measure_at_saturation(routing, cfg)
-                report = utilization_report(stats.channel_utilization(), tree)
-                for metric in _metric_order(report):
-                    result.raw.append(
-                        (metric, alg, method, ports, sample, report[metric])
-                    )
-                thr.setdefault((alg, method, ports), []).append(
-                    stats.accepted_traffic
-                )
-                if progress is not None:
-                    progress(
-                        f"[tables/{ports}p] sample {sample} {alg}/{method}: "
-                        f"throughput={stats.accepted_traffic:.4f} "
-                        f"hotspots={report['hot_spot_degree']:.2f}%"
-                    )
+    for res in records:
+        # replicated presets append a replica index to the unit key;
+        # each replica aggregates as one more independent observation
+        alg, method, ports, sample, _rate = res["key"][:5]
+        report = dict(res["report"])
+        for metric in _metric_order(report):
+            result.raw.append((metric, alg, method, ports, sample, report[metric]))
+        thr.setdefault((alg, method, ports), []).append(res["accepted"])
     _aggregate(result)
     for key, vals in thr.items():
         result.throughput[key] = sum(vals) / len(vals)
-
     if out_dir is not None:
         atomic_write_text(
             Path(out_dir) / "tables_simulated.csv", result.to_csv() + "\n"

@@ -285,6 +285,17 @@ class TestCountersAndInspection:
         set_process_cache(tmp_path / "a", shared=tmp_path / "shared")
         assert process_cache() is second
 
+    def test_serial_run_restores_caller_binding(self, units, tmp_path):
+        # a storeless serial run binds an in-memory cache for itself
+        # only; the caller's binding is back when it returns
+        set_process_cache(tmp_path / "a")
+        mine = process_cache()
+        run_parallel(list(units[:1]), max_workers=1)
+        assert process_cache() is mine
+        set_process_cache(None)
+        run_parallel(list(units[:1]), max_workers=1)
+        assert process_cache() is None
+
     def test_flush_truncates_torn_tail_before_appending(self, tmp_path):
         """A flush SIGKILLed mid-append leaves a newline-less fragment;
         the next flush truncates it instead of fusing with it."""
@@ -421,12 +432,16 @@ class TestBitIdentity:
         store = tmp_path / "store"
         run_tables(tiny, out_dir=off)
         run_tables(tiny, out_dir=cold, artifact_cache=store)
+        cold_misses = read_counters(store)["misses"]
+        # a fresh instance for the warm run, so it must read the disk tier
+        set_process_cache(None)
         run_tables(tiny, out_dir=warm, artifact_cache=store)
         reference = (off / "tables_simulated.csv").read_bytes()
         assert (cold / "tables_simulated.csv").read_bytes() == reference
         assert (warm / "tables_simulated.csv").read_bytes() == reference
-        # the warm run was actually served by the cache
+        # the warm run was actually served by the cache and built nothing
         assert read_counters(store)["hits"] > 0
+        assert read_counters(store)["misses"] == cold_misses
 
     def test_parallel_results_identical_with_cache(
         self, units, clean_results, tmp_path

@@ -1,9 +1,11 @@
 """End-to-end tests of the experiment harness (tiny preset) and CLI."""
 
+import hashlib
 import math
 
 import pytest
 
+from repro.experiments import artifacts, harness
 from repro.experiments.configs import PRESETS, get_preset
 from repro.experiments.figure8 import run_figure8
 from repro.experiments.harness import (
@@ -103,6 +105,60 @@ class TestFigure8:
         assert "Figure 8" in art
         summary = render_figure8_summary(res)
         assert "saturation throughput" in summary
+
+
+class TestSingleExecutionPath:
+    """Figure 8 and Tables run one work-unit path at every worker count."""
+
+    #: SHA-256 of the tiny-preset artefacts (all methods, one worker, no
+    #: ledger, no store), recorded before the serial sweeps were unified
+    FIGURE8_4PORT_SHA256 = (
+        "74bf3366368bbff991ef608437b0fc9fdff1c9946c5b9c0e54fb2a76090cf714"
+    )
+    TABLES_SIMULATED_SHA256 = (
+        "47fa0bb4970bbc854a6f04311be10992ffcee0afe7967bc6a2212ce3a57d9c26"
+    )
+
+    def test_serial_artefact_bytes_pinned(self, tiny, tmp_path):
+        run_figure8(tiny, ports=4, out_dir=tmp_path, workers=1)
+        run_tables(tiny, out_dir=tmp_path, workers=1)
+        digest = lambda name: hashlib.sha256(
+            (tmp_path / name).read_bytes()
+        ).hexdigest()
+        assert digest("figure8_4port.csv") == self.FIGURE8_4PORT_SHA256
+        assert digest("tables_simulated.csv") == self.TABLES_SIMULATED_SHA256
+
+    def test_serial_figure8_honours_unit_timeout(self, tiny):
+        res = run_figure8(
+            tiny, ports=4, methods=("M1",), unit_timeout=0.001, retries=0
+        )
+        assert len(res.failures) == len(PAPER_ALGORITHMS) * len(tiny.rates)
+        assert res.raw == []
+        assert all(pts == [] for pts in res.series.values())
+
+    def test_serial_tables_honour_unit_timeout(self, tiny):
+        res = run_tables(tiny, methods=("M1",), unit_timeout=0.001, retries=0)
+        assert len(res.failures) == len(PAPER_ALGORITHMS) * len(tiny.ports)
+        assert res.raw == [] and res.values == {}
+
+    def test_storeless_run_builds_each_routing_once(self, tiny, monkeypatch):
+        """Without a store the stage still builds each (sample, method)
+        routing once, not once per offered load."""
+        calls = []
+        build = harness.build_down_up_routing
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_down_up_routing", counting)
+        # start unbound, and drop the run's in-process cache afterwards
+        monkeypatch.setattr(artifacts, "_PROCESS_CACHE", None)
+        preset = tiny.scaled(samples=2)
+        methods = ("M1", "M2")
+        res = run_figure8(preset, ports=4, methods=methods, workers=1)
+        assert len(tiny.rates) > 1 and not res.failures
+        assert len(calls) == preset.samples * len(methods)
 
 
 class TestTables:

@@ -509,6 +509,34 @@ class TestUnitWatchdog:
         res = execute_unit(hung, 1, None)
         assert res["key"] == hung.key()
 
+    # the interpreter reports the discarded raise as unraisable
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnraisableExceptionWarning"
+    )
+    def test_swallowed_alarm_still_times_out(self, units, monkeypatch):
+        """An alarm landing in a gc callback has its raise discarded by
+        the interpreter; the overrun unit must still be charged."""
+        import gc
+        import time
+
+        from repro.experiments import parallel
+
+        def collect_then_return(unit):
+            gc.collect()
+            return {"key": unit.key()}
+
+        def slow_callback(phase, info):
+            if phase == "start":
+                time.sleep(0.1)  # the 0.01 s alarm fires in here
+
+        monkeypatch.setattr(parallel, "run_unit", collect_then_return)
+        gc.callbacks.append(slow_callback)
+        try:
+            with pytest.raises(UnitTimeout, match="wall-time budget"):
+                execute_unit(units[0], 1, 0.01)
+        finally:
+            gc.callbacks.remove(slow_callback)
+
     def test_cli_flag_reports_timeouts(self, tmp_path, monkeypatch, capsys):
         from repro.experiments.__main__ import main as cli_main
 
