@@ -89,8 +89,8 @@ def run_benchmarks(quick: bool = False):
     clocks = 1_500 if quick else 4_500
     mode = "quick" if quick else "full"
     routing = build_down_up_routing(random_irregular_topology(SWITCHES, PORTS, rng=7))
-    # prime the shared per-destination row cache (untimed) so the timed
-    # pairs measure the steady state a certification sweep runs in
+    # one untimed run builds what the routing derives lazily, so the
+    # timed pairs measure the steady state a certification sweep runs in
     prime_s, _ = gate.cpu_time(
         WormholeSimulator(routing, _config(0.45, 128, clocks // 3)).run
     )

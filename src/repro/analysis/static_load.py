@@ -32,36 +32,38 @@ def expected_channel_load(routing: RoutingFunction) -> np.ndarray:
     For every destination the unit loads of all sources are pushed
     through the shortest-path DAG; contributions split equally at every
     adaptive branch.  Exact (no sampling); cost ``O(|V| * |C|)``.
+
+    All destinations advance together, one array pass per remaining
+    distance.  ``np.add.at`` adds in index order, here destination, then
+    channel, then candidate: each channel sums its shares in the order
+    of a per-destination walk, so the floats match one bit for bit.
     """
-    topo = routing.topology
-    n = topo.n
-    total = np.zeros(topo.num_channels, dtype=float)
-    for d in range(n):
-        dist_row = routing.dist[d]
-        nh = routing.next_hops[d]
-        fh = routing.first_hops[d]
-        load = np.zeros(topo.num_channels, dtype=float)
-        for s in range(n):
-            if s == d or not fh[s]:
-                continue
-            share = 1.0 / len(fh[s])
-            for c in fh[s]:
-                load[c] += share
-        # propagate in decreasing remaining distance: a channel's load
-        # is final once every farther channel has been processed.
-        finite = [
-            c
-            for c in range(topo.num_channels)
-            if dist_row[c] != RoutingFunction.UNREACHABLE
-        ]
-        finite.sort(key=lambda c: -int(dist_row[c]))
-        for c in finite:
-            if load[c] == 0.0 or dist_row[c] == 0:
-                continue
-            share = load[c] / len(nh[c])
-            for b in nh[c]:
-                load[b] += share
-        total += load
+    n, n_ch = routing.topology.n, routing.topology.num_channels
+    sizes, members, dist = routing.candidate_sizes, routing.candidate_matrix, routing.dist
+    load = np.zeros((n, n_ch), dtype=float)
+    flat = load.reshape(-1)
+
+    def push(dests: np.ndarray, sets: np.ndarray, share: np.ndarray) -> None:
+        to = members[sets]
+        listed = to >= 0
+        row = np.broadcast_to(dests[:, None] * n_ch, to.shape)[listed]
+        np.add.at(
+            flat, row + to[listed], np.broadcast_to(share[:, None], to.shape)[listed]
+        )
+
+    routed = sizes[routing.first_idx] > 0
+    np.fill_diagonal(routed, False)
+    dests, srcs = np.nonzero(routed)
+    sets = routing.first_idx[dests, srcs]
+    push(dests, sets, 1.0 / sizes[sets])
+    finite = dist[dist != RoutingFunction.UNREACHABLE]
+    for level in range(int(finite.max(initial=0)), 0, -1):
+        dests, chans = np.nonzero((dist == level) & (load != 0.0))
+        sets = routing.next_idx[dests, chans]
+        push(dests, sets, load[dests, chans] / sizes[sets])
+    total = np.zeros(n_ch, dtype=float)
+    for row in load:
+        total += row
     return total
 
 

@@ -22,7 +22,7 @@ The engine can then swap the remapped function in atomically
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 import numpy as np
 
@@ -73,9 +73,11 @@ def remap_routing(
 
     Every sub-topology channel ``<a, b>`` maps to the full topology's
     channel ``<live[a], live[b]>`` — the underlying physical link is the
-    same, only the dense ids differ.  Dead channels and dead/unreachable
-    endpoints get ``UNREACHABLE`` distances and empty candidate tuples,
-    so a packet can never be directed onto a failed resource.  The
+    same, only the dense ids differ.  Each candidate set is translated
+    once and the index arrays are scattered into full-id positions.
+    Dead channels and dead/unreachable endpoints get ``UNREACHABLE``
+    distances and the empty candidate set, so a packet can never be
+    directed onto a failed resource.  The
     returned function reuses the survivor's (verified) turn model; the
     Theorem-1 guarantees transfer because the remapping is a channel
     renaming, not a change of paths.
@@ -91,35 +93,21 @@ def remap_routing(
     n, m = full_topology.n, full_topology.num_channels
     dist = np.full((n, m), RoutingFunction.UNREACHABLE, dtype=np.int32)
     dist[np.ix_(live, cmap)] = routing.dist
-
-    # candidate tuples are shared between rows, so each distinct one is
-    # translated once
-    lifted: Dict[Tuple[int, ...], Tuple[int, ...]] = {(): ()}
-
-    def lift(row: Tuple[Tuple[int, ...], ...], slots: List[int], width: int):
-        out: List[Tuple[int, ...]] = [()] * width
-        for slot, opts in zip(slots, row):
-            if opts:
-                full = lifted.get(opts)
-                if full is None:
-                    full = lifted[opts] = tuple([cmap[b] for b in opts])
-                out[slot] = full
-        return tuple(out)
-
-    dead_nh = ((),) * m
-    dead_fh = ((),) * n
-    next_hops = [dead_nh] * n
-    first_hops = [dead_fh] * n
-    for d_sub, d_full in enumerate(live):
-        next_hops[d_full] = lift(routing.next_hops[d_sub], cmap, m)
-        first_hops[d_full] = lift(routing.first_hops[d_sub], live, n)
+    # dead states keep index 0, the empty set
+    next_idx = np.zeros((n, m), dtype=np.int32)
+    next_idx[np.ix_(live, cmap)] = routing.next_idx
+    first_idx = np.zeros((n, n), dtype=np.int32)
+    first_idx[np.ix_(live, live)] = routing.first_idx
     return RoutingFunction(
         topology=full_topology,
         name=routing.name,
         turn_model=routing.turn_model,
         dist=dist,
-        next_hops=tuple(next_hops),
-        first_hops=tuple(first_hops),
+        candidate_sets=tuple(
+            tuple([cmap[b] for b in opts]) for opts in routing.candidate_sets
+        ),
+        next_idx=next_idx,
+        first_idx=first_idx,
         meta={**routing.meta, "remapped": True, "live_switches": tuple(live)},
     )
 

@@ -18,6 +18,7 @@ the simulator and the static analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -261,6 +262,19 @@ class TurnModel:
         )
 
 
+def first_seen_ids(keys: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Number *keys* (ints in ``[0, size)``) in order of first appearance:
+    ``(order, ids)`` with ``order[i]`` the key numbered ``i`` and ``ids``
+    the number of every key, so ``order[ids] == keys``."""
+    pos = np.arange(len(keys))
+    first = np.full(size, len(keys), dtype=np.intp)
+    np.minimum.at(first, keys, pos)
+    order = keys[first[keys] == pos]
+    number = np.zeros(size, dtype=np.int32)
+    number[order] = np.arange(len(order), dtype=np.int32)
+    return order, number[keys]
+
+
 @dataclass(frozen=True)
 class RoutingFunction:
     """An adaptive routing function over shortest admissible paths.
@@ -274,11 +288,18 @@ class RoutingFunction:
         Remaining hops (channels still to traverse) after arriving over
         channel ``c``, on a shortest admissible path to ``d``
         (``UNREACHABLE`` when none exists; ``0`` iff ``sink(c) == d``).
-    ``next_hops[d][c]``
+    ``candidate_sets[next_idx[d][c]]``
         The minimal admissible output channels for a packet that arrived
         over ``c`` and still heads to ``d``.
-    ``first_hops[d][s]``
+    ``candidate_sets[first_idx[d][s]]``
         The minimal output channels for a packet injected at ``s``.
+
+    The candidate sets are held once: ``candidate_sets`` lists the
+    distinct sets (index 0 the empty one; builders list the rest in
+    first-seen order over the ``next_idx``, then the ``first_idx`` rows,
+    the ``repro-routing-v2`` layout) and the read-only int32 arrays index
+    into it.  ``next_hops[d][c]`` / ``first_hops[d][s]`` are a lazily
+    built tuple view of the same tables.
 
     All candidate sets are *complete* (every minimal admissible choice is
     listed), which is what makes the routing adaptive.
@@ -288,11 +309,48 @@ class RoutingFunction:
     name: str
     turn_model: TurnModel
     dist: np.ndarray  # (n_dest, n_channels) int32
-    next_hops: Tuple[Tuple[Tuple[int, ...], ...], ...]
-    first_hops: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    candidate_sets: Tuple[Tuple[int, ...], ...]
+    next_idx: np.ndarray  # (n_dest, n_channels) int32 into candidate_sets
+    first_idx: np.ndarray  # (n_dest, n_switches) int32 into candidate_sets
     meta: Dict[str, object] = field(default_factory=dict)
 
     UNREACHABLE = np.iinfo(np.int32).max
+
+    def __post_init__(self) -> None:
+        for table in (self.dist, self.next_idx, self.first_idx):
+            table.setflags(write=False)
+
+    def _view(self, index: np.ndarray) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        sets = np.fromiter(self.candidate_sets, dtype=object, count=len(self.candidate_sets))
+        return tuple(map(tuple, sets[index].tolist()))
+
+    @cached_property
+    def next_hops(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """``next_hops[d][c]``: the candidate set of each en-route state."""
+        return self._view(self.next_idx)
+
+    @cached_property
+    def first_hops(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """``first_hops[d][s]``: the candidate set of each injection."""
+        return self._view(self.first_idx)
+
+    @cached_property
+    def candidate_matrix(self) -> np.ndarray:
+        """Read-only ``candidate_sets`` as an int32 array, one row per
+        set, its channels in order and padded with ``-1``."""
+        sets = self.candidate_sets
+        matrix = np.full((len(sets), max([1] + [len(s) for s in sets])), -1, np.int32)
+        for i, s in enumerate(sets):
+            matrix[i, : len(s)] = s
+        matrix.setflags(write=False)
+        return matrix
+
+    @cached_property
+    def candidate_sizes(self) -> np.ndarray:
+        """Read-only length of every candidate set."""
+        sizes = (self.candidate_matrix >= 0).sum(axis=1)
+        sizes.setflags(write=False)
+        return sizes
 
     def candidates(
         self, input_channel: Optional[int], node: int, dest: int
@@ -305,14 +363,14 @@ class RoutingFunction:
         if node == dest:
             return ()
         if input_channel is None:
-            return self.first_hops[dest][node]
-        return self.next_hops[dest][input_channel]
+            return self.candidate_sets[self.first_idx[dest, node]]
+        return self.candidate_sets[self.next_idx[dest, input_channel]]
 
     def path_length(self, src: int, dest: int) -> int:
         """Hops (channels) on a shortest admissible path from *src* to *dest*."""
         if src == dest:
             return 0
-        opts = self.first_hops[dest][src]
+        opts = self.candidate_sets[self.first_idx[dest, src]]
         if not opts:
             raise ValueError(f"{self.name}: no admissible path {src}->{dest}")
         return 1 + min(int(self.dist[dest][c]) for c in opts)
@@ -339,32 +397,29 @@ class RoutingFunction:
         *rng*, defaulting to the first).  Distances, deadlock freedom
         and connectivity are untouched — only the adaptive freedom is
         removed — so the pair isolates the value of adaptivity in
-        benchmarks.
+        benchmarks.  Choices are drawn entry by entry over the
+        ``next_idx`` rows, then the ``first_idx`` rows.
         """
         from repro.util.rng import as_generator
 
         gen = None if rng is None else as_generator(rng)
-
-        def pick(options: Tuple[int, ...]) -> Tuple[int, ...]:
-            if len(options) <= 1:
-                return options
-            if gen is None:
-                return (options[0],)
-            return (options[int(gen.integers(len(options)))],)
-
-        next_hops = tuple(
-            tuple(pick(opts) for opts in per_dest) for per_dest in self.next_hops
-        )
-        first_hops = tuple(
-            tuple(pick(opts) for opts in per_dest) for per_dest in self.first_hops
-        )
+        n, n_ch = self.first_idx.shape[0], self.next_idx.shape[1]
+        entries = np.concatenate(([0], self.next_idx.ravel(), self.first_idx.ravel()))
+        choice = self.candidate_matrix[entries, 0]  # -1 for the empty set
+        if gen is not None:
+            for i in np.flatnonzero(self.candidate_sizes[entries] > 1).tolist():
+                opts = self.candidate_sets[entries[i]]
+                choice[i] = opts[int(gen.integers(len(opts)))]
+        # every set is now empty (key 0) or one channel c (key c + 1)
+        order, ids = first_seen_ids(choice + 1, n_ch + 1)
         return RoutingFunction(
             topology=self.topology,
             name=f"{self.name}/deterministic",
             turn_model=self.turn_model,
             dist=self.dist,
-            next_hops=next_hops,
-            first_hops=first_hops,
+            candidate_sets=tuple((k - 1,) if k else () for k in order.tolist()),
+            next_idx=ids[1 : 1 + n * n_ch].reshape(n, n_ch),
+            first_idx=ids[1 + n * n_ch :].reshape(n, n),
             meta={**self.meta, "deterministic": True},
         )
 

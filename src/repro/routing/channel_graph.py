@@ -17,11 +17,11 @@ at a switch is unsafe iff ``e_in`` is already reachable from ``e_out``
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.routing.base import TurnModel
+from repro.routing.base import TurnModel, first_seen_ids
 from repro.topology.graph import Topology
 
 
@@ -207,68 +207,25 @@ def shortest_path_dags(
     return dist, next_hops, first_hops
 
 
-#: candidate tuples indexed ``[dest][channel]`` (or ``[dest][switch]``)
-CandidateTable = Tuple[Tuple[Tuple[int, ...], ...], ...]
-
-#: largest (owner, subset) key space deduplicated through a dense table
-#: (8 ports at 128 switches need 2**17)
+#: largest (switch, subset) key space numbered through a dense table
+#: (8 ports at 128 switches need 2**15)
 _DENSE_KEYS = 1 << 20
-
-
-def _candidate_rows(
-    members: Sequence[Sequence[int]],
-    width: int,
-    selected: Iterable[np.ndarray],
-) -> CandidateTable:
-    """Candidate tuples ``rows[dest][owner]`` read off bit masks.
-
-    ``selected`` yields one ``(owner, dest)`` boolean array per member
-    slot ``t < width``; entry ``rows[dest][owner]`` holds the
-    ``members[owner][t]`` whose slot is selected, in member order.
-    Each (owner, subset) pair becomes one integer key, every distinct
-    key is decoded once, and rows share the decoded tuples.
-    """
-    owners = len(members)
-    # keys must fit in int64; only very high port counts need objects
-    dtype = np.int64 if owners.bit_length() + width < 63 else object
-    keys = np.arange(owners).astype(dtype)[:, None] << width
-    for t, column in enumerate(selected):
-        keys = keys | (column.astype(dtype) << t)
-    if owners << width <= _DENSE_KEYS:
-        # a table over the whole key space: no sort, so numpy's sort
-        # kernels (about half a megabyte of resident code) stay unloaded
-        seen = np.zeros(owners << width, dtype=bool)
-        seen[keys] = True
-        uniq = np.flatnonzero(seen)
-        inverse = (np.cumsum(seen) - 1)[keys.T]
-    else:  # high port counts leave the key space too sparse for a table
-        uniq, inverse = np.unique(keys.T, return_inverse=True)
-        inverse = inverse.reshape(keys.shape[1], owners)
-    low = (1 << width) - 1
-    selectors: Dict[int, List[int]] = {}
-    decoded = np.empty(len(uniq), dtype=object)
-    for i, key in enumerate(uniq.tolist()):
-        mask = key & low
-        sel = selectors.get(mask)
-        if sel is None:
-            sel = selectors[mask] = [mask >> t & 1 for t in range(width)]
-        decoded[i] = tuple(compress(members[key >> width], sel))
-    # gathering the tuple references in numpy keeps the row assembly
-    # free of per-entry Python integers
-    return tuple(map(tuple, decoded[inverse].tolist()))
 
 
 def shortest_path_tables(
     turn_model: TurnModel,
-) -> Tuple[np.ndarray, CandidateTable, CandidateTable]:
+) -> Tuple[np.ndarray, Tuple[Tuple[int, ...], ...], np.ndarray, np.ndarray]:
     """:func:`shortest_path_dags` for every destination at once.
 
-    Returns ``(dist, next_hops, first_hops)`` with ``dist`` an
-    ``(n, num_channels)`` int32 array and the candidate tables indexed
-    ``[dest][channel]`` / ``[dest][switch]``; every entry equals what
-    :func:`shortest_path_dags` returns for that destination.  One array
-    BFS advances all destinations a level at a time, and candidate sets
-    are read off as bit masks over each channel's (switch's) outputs.
+    Returns ``(dist, candidate_sets, next_idx, first_idx)``: ``dist`` an
+    ``(n, num_channels)`` int32 array, and the candidate tables as the
+    distinct candidate sets (the empty set first, the rest in first-seen
+    order over the ``next_idx`` rows, then the ``first_idx`` rows) plus
+    int32 index arrays indexed ``[dest][channel]`` / ``[dest][switch]``.
+    Every entry equals what :func:`shortest_path_dags` returns for that
+    destination.  One array BFS advances all destinations a level at a
+    time, and each candidate set is read off as a bit mask over the
+    outputs of the switch it leaves.
     """
     topo = turn_model.topology
     n, n_ch = topo.n, topo.num_channels
@@ -281,7 +238,7 @@ def shortest_path_tables(
     succ = np.full((n_ch, width), n_ch, dtype=np.intp)
     for a, outs in enumerate(adj):
         succ[a, : len(outs)] = outs
-    sink = [ch.sink for ch in topo.channels]
+    sink = np.array([ch.sink for ch in topo.channels], dtype=np.intp)
     dist = np.full((n_ch + 1, n), UNREACH, dtype=np.int32)
     dist[np.arange(n_ch), sink] = 0
 
@@ -298,26 +255,69 @@ def shortest_path_tables(
         frontier[:n_ch] = hit
         dist[:n_ch][hit] = level
 
+    # every candidate set leaves one switch: key it as (switch, bit mask
+    # over that switch's output slots), the empty set as 0; keys must
+    # fit in int64, only very high port counts need Python integers
+    outs = [topo.output_channels(s) for s in range(n)]
+    out_width = max([1] + [len(o) for o in outs])
+    dtype = np.int64 if n.bit_length() + out_width < 63 else object
+    slot = np.zeros(n_ch + 1, dtype=np.int64)
+    for o in outs:
+        slot[list(o)] = range(len(o))
+    slot = slot.astype(dtype)
+
+    def entry_keys(switch: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Row-major ``[dest][owner]`` keys of ``(owner, dest)`` masks."""
+        key = (switch.astype(dtype) << out_width)[:, None] | mask
+        return np.where(mask != 0, key, 0).T.ravel()
+
     # next hops: the successors one hop closer (the sentinel never
     # matches, and nothing sits at want = -1 or UNREACH - 1)
     want = dist[:n_ch] - 1
-    next_hops = _candidate_rows(
-        adj, width, (dist[succ[:, t]] == want for t in range(width))
-    )
+    next_mask = np.zeros((n_ch, n), dtype=dtype)
+    for t in range(width):
+        hop = dist[succ[:, t]] == want
+        next_mask |= hop.astype(dtype) << slot[succ[:, t]][:, None]
 
     # first hops: the minimal reachable outputs of each source switch
-    outs = [topo.output_channels(s) for s in range(n)]
-    out_width = max([1] + [len(o) for o in outs])
     out_pad = np.full((n, out_width), n_ch, dtype=np.intp)
     for s, o in enumerate(outs):
         out_pad[s, : len(o)] = o
     d_out = dist[out_pad]  # (source, port, dest)
     best = d_out.min(axis=1)
     routable = (best != UNREACH) & ~np.eye(n, dtype=bool)
-    first_hops = _candidate_rows(
-        outs,
-        out_width,
-        ((d_out[:, t] == best) & routable for t in range(out_width)),
-    )
+    first_mask = np.zeros((n, n), dtype=dtype)
+    for t in range(out_width):
+        first_mask |= ((d_out[:, t] == best) & routable).astype(dtype) << t
 
-    return np.ascontiguousarray(dist[:n_ch].T), next_hops, first_hops
+    # one key per table entry in codec order, the empty set first
+    keys = np.concatenate(
+        (
+            np.zeros(1, dtype=dtype),
+            entry_keys(sink, next_mask),
+            entry_keys(np.arange(n), first_mask),
+        )
+    )
+    if dtype is np.int64 and n << out_width <= _DENSE_KEYS:
+        # a table over the whole key space: no sort, so numpy's sort
+        # kernels (about half a megabyte of resident code) stay unloaded
+        order, ids = first_seen_ids(keys, n << out_width)
+    else:  # high port counts leave the key space too sparse for a table
+        uniq, codes = np.unique(keys, return_inverse=True)
+        order, ids = first_seen_ids(codes.ravel(), len(uniq))
+        order = uniq[order]
+    low = (1 << out_width) - 1
+    selectors: Dict[int, List[int]] = {}
+    candidate_sets = []
+    for key in order.tolist():
+        mask = key & low
+        sel = selectors.get(mask)
+        if sel is None:
+            sel = selectors[mask] = [mask >> t & 1 for t in range(out_width)]
+        candidate_sets.append(tuple(compress(outs[key >> out_width], sel)))
+    return (
+        np.ascontiguousarray(dist[:n_ch].T),
+        tuple(candidate_sets),
+        ids[1 : 1 + n * n_ch].reshape(n, n_ch),
+        ids[1 + n * n_ch :].reshape(n, n),
+    )

@@ -68,19 +68,13 @@ def adaptivity(routing: RoutingFunction) -> float:
     en-route states with finite remaining distance.  1.0 means fully
     deterministic; larger values mean more adaptive freedom.
     """
-    n = routing.topology.n
-    sizes: List[int] = []
-    for d in range(n):
-        fh = routing.first_hops[d]
-        for s in range(n):
-            if s != d and fh[s]:
-                sizes.append(len(fh[s]))
-        nh = routing.next_hops[d]
-        row = routing.dist[d]
-        for c, opts in enumerate(nh):
-            if opts and 0 < row[c] < RoutingFunction.UNREACHABLE:
-                sizes.append(len(opts))
-    return float(np.mean(sizes)) if sizes else 0.0
+    first = routing.candidate_sizes[routing.first_idx]
+    np.fill_diagonal(first, 0)
+    nxt = routing.candidate_sizes[routing.next_idx]
+    nxt[(routing.dist <= 0) | (routing.dist == RoutingFunction.UNREACHABLE)] = 0
+    sizes = np.concatenate((first[first > 0], nxt[nxt > 0]))
+    # integer sizes: the mean does not depend on their order
+    return float(np.mean(sizes)) if len(sizes) else 0.0
 
 
 def turn_usage(routing: RoutingFunction) -> Dict[Tuple[str, str], int]:

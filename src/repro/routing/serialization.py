@@ -17,8 +17,8 @@ load them).  The format is JSON:
 ```
 
 A 128-switch table has ~100k entries but a few thousand distinct
-candidate sets, so each set is written once and referenced by index;
-decoding shares one tuple per set between rows, as the builders do.
+candidate sets, so each set is written once and referenced by index:
+the layout :class:`~repro.routing.base.RoutingFunction` holds in memory.
 
 ``load_routing`` rebuilds a fully functional
 :class:`~repro.routing.base.RoutingFunction` (turn model included) and
@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,15 +47,6 @@ TREE_FORMAT = "repro-tree-v1"
 def routing_to_json(routing: RoutingFunction) -> str:
     """Serialize *routing* (tables + turn model + topology) to JSON."""
     tm = routing.turn_model
-    # distinct candidate sets in first-seen order, the empty one first
-    distinct = dict.fromkeys(
-        chain(
-            [()],
-            chain.from_iterable(routing.next_hops),
-            chain.from_iterable(routing.first_hops),
-        )
-    )
-    lookup = dict(zip(distinct, range(len(distinct)))).__getitem__
     payload = {
         "format": FORMAT,
         "name": routing.name,
@@ -68,10 +59,10 @@ def routing_to_json(routing: RoutingFunction) -> str:
             for v in tm.overridden_switches()
         },
         "pair_exceptions": [list(p) for p in tm.released_channel_pairs()],
-        "dist": np.asarray(routing.dist).tolist(),
-        "candidates": list(distinct),
-        "next_hops": [list(map(lookup, row)) for row in routing.next_hops],
-        "first_hops": [list(map(lookup, row)) for row in routing.first_hops],
+        "dist": routing.dist.tolist(),
+        "candidates": list(routing.candidate_sets),
+        "next_hops": routing.next_idx.tolist(),
+        "first_hops": routing.first_idx.tolist(),
     }
     return json.dumps(payload, separators=(",", ":"))
 
@@ -108,53 +99,64 @@ def routing_from_json(text: str, verify: bool = True) -> RoutingFunction:
         if not (0 <= cin < num_channels and 0 <= cout < num_channels):
             raise ValueError(f"pair exception ({cin}, {cout}) names no channel")
         tm.allow_channel_pair(int(cin), int(cout))
-    dist = np.asarray(data["dist"], dtype=np.int32)
-    if dist.shape != (n, num_channels):
-        raise ValueError(
-            f"dist is {dist.shape}, expected {(n, num_channels)}"
-        )
-    dist.setflags(write=False)
-    candidates = tuple(map(tuple, data["candidates"]))
-    channels = list(chain.from_iterable(candidates))
-    if channels and not (0 <= min(channels) and max(channels) < num_channels):
-        raise ValueError("a candidate set names no channel")
+    candidate_sets = _candidate_sets(data["candidates"], num_channels)
     routing = RoutingFunction(
         topology=topology,
         name=data["name"],
         turn_model=tm,
-        dist=dist,
-        next_hops=_index_rows(
-            data["next_hops"], candidates, n, num_channels, "next_hops"
+        dist=_int_table(data["dist"], (n, num_channels), "dist"),
+        candidate_sets=candidate_sets,
+        next_idx=_int_table(
+            data["next_hops"], (n, num_channels), "next_hops", len(candidate_sets)
         ),
-        first_hops=_index_rows(
-            data["first_hops"], candidates, n, n, "first_hops"
-        ),
+        first_idx=_int_table(data["first_hops"], (n, n), "first_hops", len(candidate_sets)),
         meta={"loaded": True},
     )
     return verify_routing(routing) if verify else routing
 
 
-def _index_rows(
-    rows: List[List[int]],
-    candidates: Tuple[Tuple[int, ...], ...],
-    n: int,
-    width: int,
-    field: str,
-) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """Resolve an ``n x width`` table of indices into *candidates*.
+def _candidate_sets(candidates: object, num_channels: int) -> Tuple[Tuple[int, ...], ...]:
+    """The decoded ``candidates`` list: the empty set first, then sets of
+    distinct channel ids (a repeated channel would weigh double in the
+    simulator's random choice)."""
+    if not isinstance(candidates, list) or not candidates or candidates[0] != []:
+        raise ValueError("candidates must be a list starting with []")
+    if not all(type(s) is list for s in candidates):
+        raise ValueError("a candidate set is not a list")
+    channels = list(chain.from_iterable(candidates))
+    if not set(map(type, channels)) <= {int}:
+        raise ValueError("a candidate set holds a non-integer channel")
+    if channels and not (0 <= min(channels) and max(channels) < num_channels):
+        raise ValueError("a candidate set names no channel")
+    if any(len(set(s)) != len(s) for s in candidates):
+        raise ValueError("a candidate set repeats a channel")
+    return tuple(map(tuple, candidates))
 
-    Checks the shape and the index range first (a negative index would
-    otherwise wrap); the lookups themselves run in C and share one tuple
-    per candidate set between rows.
+
+def _int_table(
+    rows: object, shape: Tuple[int, int], field: str, bound: Optional[int] = None
+) -> np.ndarray:
+    """An int32 table of *shape* from JSON rows, entries in ``[0, bound)``.
+
+    Ragged rows, floats, booleans and out-of-range entries are errors —
+    never truncated, coerced or wrapped.
     """
-    if len(rows) != n:
-        raise ValueError(f"{field} has {len(rows)} rows, expected {n}")
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"{field} row has {len(row)} entries, expected {width}")
-        if row and not (0 <= min(row) and max(row) < len(candidates)):
-            raise ValueError(f"{field} indexes past the candidate list")
-    return tuple(tuple(map(candidates.__getitem__, row)) for row in rows)
+    try:
+        table = np.array(rows)
+    except ValueError:  # ragged rows
+        table = np.empty(0)
+    if table.shape != shape:
+        raise ValueError(f"{field} is not a {shape[0]} x {shape[1]} table")
+    if table.size:
+        if table.dtype.kind != "i" or bool in set(
+            map(type, chain.from_iterable(rows))
+        ):
+            raise ValueError(f"{field} holds a non-integer entry")
+        info = np.iinfo(np.int32)
+        lo, hi = (0, bound) if bound is not None else (info.min, info.max + 1)
+        if not (lo <= table.min() and table.max() < hi):
+            raise ValueError(f"{field} holds an entry outside [{lo}, {hi})")
+    return table.astype(np.int32)
 
 
 def tree_to_json(tree: CoordinatedTree) -> str:

@@ -27,14 +27,14 @@ def build_routing_function(
     admissible candidate is retained, and the simulator picks among the
     free ones at run time (randomly on ties, per Section 5).
     """
-    dist, next_hops, first_hops = shortest_path_tables(turn_model)
-    dist.setflags(write=False)
+    dist, candidate_sets, next_idx, first_idx = shortest_path_tables(turn_model)
     return RoutingFunction(
         topology=turn_model.topology,
         name=name,
         turn_model=turn_model,
         dist=dist,
-        next_hops=next_hops,
-        first_hops=first_hops,
+        candidate_sets=candidate_sets,
+        next_idx=next_idx,
+        first_idx=first_idx,
         meta=dict(meta or {}),
     )

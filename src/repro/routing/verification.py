@@ -2,7 +2,8 @@
 
 Every routing function constructed anywhere in this repository is passed
 through :func:`verify_routing`, which asserts the two halves of the
-paper's Theorem 1:
+paper's Theorem 1, and that every table entry is a legal, distance-
+decreasing move (so the tables only use the paths both halves cover):
 
 * **deadlock freedom** — the channel dependency graph restricted to the
   turn model is acyclic (Dally-Seitz sufficient condition for wormhole
@@ -30,8 +31,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.routing.base import RoutingFunction, TurnModel
-from repro.routing.channel_graph import find_turn_cycle
+from repro.routing.channel_graph import dependency_adjacency, find_cycle
 
 
 class VerificationError(AssertionError):
@@ -43,7 +46,8 @@ class VerificationError(AssertionError):
         Name of the offending routing function (when known).
     ``kind``
         One of ``"cycle"``, ``"unroutable"``, ``"stranded"``,
-        ``"no-progress"`` (or ``None`` for free-form failures).
+        ``"no-progress"``, ``"inadmissible"`` (or ``None`` for
+        free-form failures).
     ``cycle``
         The offending channel-id cycle (``kind == "cycle"``).
     ``unroutable``
@@ -51,10 +55,11 @@ class VerificationError(AssertionError):
         (``kind == "unroutable"``) — not just the first few shown in
         the message.
     ``stranded``
-        A dict describing the en-route state that cannot make progress
-        (``kind in ("stranded", "no-progress")``): destination, channel,
-        remaining distance, and — for ``"no-progress"`` — the
-        non-decreasing candidate.
+        A dict describing the offending table entry
+        (``kind in ("stranded", "no-progress", "inadmissible")``):
+        destination, channel (or ``source`` for an inadmissible first
+        hop), remaining distance, and — for ``"no-progress"`` and
+        ``"inadmissible"`` — the offending candidate.
     """
 
     def __init__(
@@ -98,14 +103,19 @@ class VerificationError(AssertionError):
         return out
 
 
-def assert_deadlock_free(turn_model: TurnModel, name: str = "routing") -> None:
+def assert_deadlock_free(
+    turn_model: TurnModel,
+    name: str = "routing",
+    adj: Optional[Sequence[Sequence[int]]] = None,
+) -> None:
     """Raise :class:`VerificationError` if a turn cycle exists.
 
     The error message includes the offending channel cycle (switch path
     and per-channel classes) so a failure is directly debuggable; the
-    raw channel-id cycle rides along as ``err.cycle``.
+    raw channel-id cycle rides along as ``err.cycle``.  *adj* is the
+    turn model's dependency adjacency, when the caller already has it.
     """
-    cycle = find_turn_cycle(turn_model)
+    cycle = find_cycle(dependency_adjacency(turn_model) if adj is None else adj)
     if cycle is None:
         return
     topo = turn_model.topology
@@ -128,15 +138,15 @@ def assert_connected(routing: RoutingFunction) -> None:
 
     The exception's ``unroutable`` attribute carries the *complete*
     ``(src, dest)`` pair list (the message shows only the first five).
+    Every first hop must also leave its source (kind ``"inadmissible"``,
+    the first offending ``(dest, source)`` entry in ``stranded``).
     """
-    n = routing.topology.n
-    missing: List[Tuple[int, int]] = []
-    for d in range(n):
-        fh = routing.first_hops[d]
-        for s in range(n):
-            if s != d and not fh[s]:
-                missing.append((s, d))
-    if missing:
+    k = routing.first_idx
+    empty = routing.candidate_sizes[k] == 0
+    np.fill_diagonal(empty, False)
+    dests, srcs = np.nonzero(empty)
+    if len(dests):
+        missing = list(zip(srcs.tolist(), dests.tolist()))
         raise VerificationError(
             f"{routing.name}: {len(missing)} unroutable pairs, e.g. "
             f"{missing[:5]}",
@@ -144,48 +154,108 @@ def assert_connected(routing: RoutingFunction) -> None:
             kind="unroutable",
             unroutable=missing,
         )
+    start = np.array([ch.start for ch in routing.topology.channels] + [-1])
+    stray = np.zeros(k.shape, dtype=bool)
+    for column in routing.candidate_matrix.T:
+        hop = column[k]
+        stray |= (hop >= 0) & (start[hop] != np.arange(routing.topology.n))
+    if stray.any():
+        d, s = (int(i) for i in np.argwhere(stray)[0])
+        b = next(b for b in routing.candidate_sets[k[d, s]] if start[b] != s)
+        raise VerificationError(
+            f"{routing.name}: dest {d}, first hop {b} does not leave source {s}",
+            routing_name=routing.name,
+            kind="inadmissible",
+            stranded={"dest": d, "source": s, "candidate": int(b)},
+        )
 
 
-def assert_progress(routing: RoutingFunction) -> None:
+def assert_progress(
+    routing: RoutingFunction, adj: Optional[Sequence[Sequence[int]]] = None
+) -> None:
     """Raise unless every en-route state keeps a next hop (no stranding).
 
     For every destination ``d`` and channel ``c`` with finite remaining
     distance > 0, the candidate set must be non-empty and each candidate
     must strictly decrease the distance — together with acyclicity this
-    rules out livelock for the adaptive simulator.  The exception's
-    ``stranded`` dict identifies the offending state.
+    rules out livelock for the adaptive simulator.  Every next hop ``b``
+    of any state must also be a legal move, an edge ``c -> b`` of the
+    turn model's dependency graph *adj* (kind ``"inadmissible"``).  The
+    exception's ``stranded`` dict identifies the offending state (the
+    first in destination-then-channel order).
     """
-    unreachable = RoutingFunction.UNREACHABLE
-    for d, dist_row in enumerate(routing.dist):
-        row = dist_row.tolist()
-        nh = routing.next_hops[d]
-        for c, opts in enumerate(nh):
-            rem = row[c]
-            if rem == 0 or rem == unreachable:
-                continue
-            if not opts:
-                raise VerificationError(
-                    f"{routing.name}: dest {d}, channel {c} at distance "
-                    f"{rem} has no admissible next hop",
-                    routing_name=routing.name,
-                    kind="stranded",
-                    stranded={"dest": d, "channel": c, "remaining": rem},
-                )
-            for b in opts:
-                if row[b] != rem - 1:
-                    raise VerificationError(
-                        f"{routing.name}: dest {d}, hop {c}->{b} does not "
-                        f"decrease distance ({rem} -> {row[b]})",
-                        routing_name=routing.name,
-                        kind="no-progress",
-                        stranded={
-                            "dest": d,
-                            "channel": c,
-                            "remaining": rem,
-                            "candidate": int(b),
-                            "candidate_remaining": row[b],
-                        },
-                    )
+    if adj is None:
+        adj = dependency_adjacency(routing.turn_model)
+    topo = routing.topology
+    n_ch = topo.num_channels
+    # a candidate set is reduced to the switch its channels leave (-2 if
+    # they leave several) and a bit mask over that switch's output
+    # slots, a channel to the mask of its allowed continuations: set k
+    # is legal after channel c iff home[k] == sink(c) and its mask is
+    # inside allowed[c].  The trailing slot serves the -1 padding.
+    start = np.array([ch.start for ch in topo.channels] + [-1])
+    slot = [0] * (n_ch + 1)
+    for v in range(topo.n):
+        for i, c in enumerate(topo.output_channels(v)):
+            slot[c] = i
+    dtype = np.int64 if max(slot) < 63 else object  # >62 ports: Python ints
+    bit = np.array([1 << i for i in slot[:n_ch]] + [0], dtype=dtype)
+    members = routing.candidate_matrix
+    home = start[members[:, 0]]
+    mask = np.zeros(len(members), dtype=dtype)
+    for column in members.T:
+        home[(column >= 0) & (start[column] != home)] = -2
+        mask |= bit[column]
+    allowed = np.array([sum(1 << slot[b] for b in outs) for outs in adj], dtype=dtype)
+    sink = np.array([ch.sink for ch in topo.channels])
+    dist = routing.dist
+    active = (dist > 0) & (dist != RoutingFunction.UNREACHABLE)
+    k = routing.next_idx
+    bad = active & (routing.candidate_sizes[k] == 0)
+    for column in members.T:
+        hop = column[k]
+        reached = np.take_along_axis(dist, np.maximum(hop, 0), axis=1)
+        bad |= active & (hop >= 0) & (reached != dist - 1)
+    illegal = (routing.candidate_sizes[k] > 0) & (
+        (home[k] != sink) | (mask[k] & ~allowed != 0)
+    )
+    if bad.any():
+        d, c = (int(i) for i in np.argwhere(bad)[0])
+        row = dist[d].tolist()
+        rem = row[c]
+        where = {"dest": d, "channel": c, "remaining": rem}
+        opts = routing.candidate_sets[k[d, c]]
+        if not opts:
+            raise VerificationError(
+                f"{routing.name}: dest {d}, channel {c} at distance "
+                f"{rem} has no admissible next hop",
+                routing_name=routing.name,
+                kind="stranded",
+                stranded=where,
+            )
+        b = next(b for b in opts if row[b] != rem - 1)
+        raise VerificationError(
+            f"{routing.name}: dest {d}, hop {c}->{b} does not "
+            f"decrease distance ({rem} -> {row[b]})",
+            routing_name=routing.name,
+            kind="no-progress",
+            stranded={**where, "candidate": int(b), "candidate_remaining": row[b]},
+        )
+    if illegal.any():
+        d, c = (int(i) for i in np.argwhere(illegal)[0])
+        b = next(b for b in routing.candidate_sets[k[d, c]] if b not in adj[c])
+        v = sink[c]
+        raise VerificationError(
+            f"{routing.name}: dest {d}, hop {c}->{b} "
+            + (
+                f"is a prohibited turn at switch {v}"
+                if start[b] == v
+                else f"does not leave switch {v}"
+            ),
+            routing_name=routing.name,
+            kind="inadmissible",
+            stranded={"dest": d, "channel": c, "candidate": int(b)},
+        )
 
 
 def verify_routing(routing: RoutingFunction) -> RoutingFunction:
@@ -195,7 +265,8 @@ def verify_routing(routing: RoutingFunction) -> RoutingFunction:
 
         return verify_routing(build_routing_function(tm, name="down-up"))
     """
-    assert_deadlock_free(routing.turn_model, routing.name)
+    adj = dependency_adjacency(routing.turn_model)
+    assert_deadlock_free(routing.turn_model, routing.name, adj)
     assert_connected(routing)
-    assert_progress(routing)
+    assert_progress(routing, adj)
     return routing

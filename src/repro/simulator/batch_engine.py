@@ -182,13 +182,9 @@ class BatchCore:
         #: parked heads with several admissible next channels (rare in
         #: down/up routing); they claim through the scalar fallback
         self._multi_heads: set = set()
-        shared = getattr(sim.routing, "_batch_rows", None)
-        if shared is None:
-            shared = {}
-            # RoutingFunction is a frozen dataclass; the cache rides on
-            # the instance so its lifetime tracks the routing tables
-            object.__setattr__(sim.routing, "_batch_rows", shared)
-        self._shared_rows: Dict[int, np.ndarray] = shared
+        #: (decision epoch, code of every decision-cache candidate set:
+        #: its lone channel, _MULTI or _NONE), built on first use
+        self._set_code: Tuple[int, np.ndarray] = (-1, np.empty(0, np.int64))
         #: sources with a cached request (single or multi), for bulk
         #: invalidation on epoch changes
         self._inj_cached: set = set()
@@ -369,30 +365,28 @@ class BatchCore:
     # candidate table / head-target maintenance
     # ------------------------------------------------------------------
     def _build_cand_row(self, d: int) -> None:
-        """Flatten one destination's decision rows into the table.
+        """Flatten one destination's decision row into the table.
 
-        Fault-free rows are memoized per *routing function*: every
-        simulator on the same routing — benchmark reps, campaign seeds
-        — reuses the encoding.  With dead channels the decision cache
-        filters its rows, so the row is encoded fresh and never shared.
+        Each candidate set is encoded once per epoch (from the decision
+        cache's dead-filtered sets); a row is a gather of those codes
+        through the routing's ``next_idx`` row.
         """
         C = self._C
         cache = self.sim.decision_cache
-        enc = self._shared_rows.get(d) if not cache._dead else None
-        if enc is None:
-            row = cache.next_row(d)
-            enc = np.array(
+        epoch, code = self._set_code
+        if epoch != cache.epoch:
+            code = np.array(
                 [
-                    r[0] if len(r) == 1 else (_MULTI if r else _NONE)
-                    for r in row
+                    s[0] if len(s) == 1 else (_MULTI if s else _NONE)
+                    for s in cache.sets
                 ],
                 dtype=np.int64,
             )
-            # a header parked on a channel sinking at its destination
-            # asks for the consumption port, whatever the rows say
-            enc[self._sink_channels[d]] = _CONSUME
-            if not cache._dead:
-                self._shared_rows[d] = enc
+            self._set_code = (cache.epoch, code)
+        enc = code[cache.routing.next_idx[d]]
+        # a header parked on a channel sinking at its destination
+        # asks for the consumption port, whatever the rows say
+        enc[self._sink_channels[d]] = _CONSUME
         self._cand[d * C : (d + 1) * C] = enc
         self._cand_built[d] = True
 
@@ -421,10 +415,8 @@ class BatchCore:
             if v == _MULTI:
                 self._multi_heads.add(c)
                 cache = self.sim.decision_cache
-                row = cache._next_rows[d]
-                if row is None:
-                    row = cache.next_row(d)
-                self._mh_info[c] = (due, list(row[c]))
+                cands = cache.sets[cache.routing.next_idx[d, c]]
+                self._mh_info[c] = (due, list(cands))
                 self._mh_dirty = True
 
     def _on_epoch_change(self) -> None:
@@ -1009,10 +1001,7 @@ class BatchCore:
             if kind == 1:
                 w = worms[occ[a]]
                 dst = w.dst
-                row = cache._next_rows[dst]
-                if row is None:
-                    row = cache.next_row(dst)
-                cands = row[a]
+                cands = cache.sets[cache.routing.next_idx[dst, a]]
                 avail = [c for c in cands if occ[c] == FREE]
                 if not avail:
                     continue

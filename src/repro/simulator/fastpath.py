@@ -43,6 +43,8 @@ from bisect import bisect_left, insort
 from collections import deque
 from typing import Callable, List, Optional, Tuple
 
+import numpy as np
+
 __all__ = [
     "DecisionCache",
     "InjectionWheel",
@@ -54,11 +56,13 @@ __all__ = [
 class DecisionCache:
     """Flat per-epoch routing-decision table.
 
-    Rows are materialised lazily per destination from a
-    :class:`~repro.routing.base.RoutingFunction`'s ``next_hops`` /
-    ``first_hops`` with the engine's dead channels filtered out, so the
-    hot loop performs a single list lookup instead of nested tuple
-    indexing plus a per-candidate dead-set membership test.
+    Each epoch filters the engine's dead channels out of every
+    candidate set of a :class:`~repro.routing.base.RoutingFunction`
+    once (``sets``, indexed like ``candidate_sets``); rows are then
+    gathered lazily per destination from the routing's ``next_idx`` /
+    ``first_idx`` arrays, so the hot loop performs a single list lookup
+    instead of nested indexing plus a per-candidate dead-set membership
+    test.
 
     ``epoch`` increments on every :meth:`invalidate` — a table swap or a
     dead-channel change — and every cached row is dropped in the same
@@ -67,12 +71,15 @@ class DecisionCache:
     decisions.
     """
 
-    __slots__ = ("epoch", "routing", "_dead", "_next_rows", "_first_rows")
+    __slots__ = (
+        "epoch", "routing", "sets", "_dead", "_objects", "_next_rows", "_first_rows"
+    )
 
     def __init__(self, routing, dead_channels) -> None:
         self.epoch = 0
         self._dead = dead_channels
         self.routing = routing
+        self.sets: Tuple[Tuple[int, ...], ...] = ()
         self._next_rows: List[Optional[List[Tuple[int, ...]]]] = []
         self._first_rows: List[Optional[List[Tuple[int, ...]]]] = []
         self.attach(routing)
@@ -85,53 +92,32 @@ class DecisionCache:
     def invalidate(self) -> None:
         """Drop every cached row and bump the epoch (atomic swap point)."""
         self.epoch += 1
-        self._next_rows = [None] * len(self.routing.next_hops)
-        self._first_rows = [None] * len(self.routing.first_hops)
+        dead = self._dead
+        sets = self.routing.candidate_sets
+        if dead:
+            sets = tuple(
+                tuple([c for c in cands if c not in dead]) if cands else cands
+                for cands in sets
+            )
+        self.sets = sets
+        self._objects = np.fromiter(sets, dtype=object, count=len(sets))
+        self._next_rows = [None] * self.routing.next_idx.shape[0]
+        self._first_rows = [None] * self.routing.first_idx.shape[0]
 
     # Engines read ``_next_rows`` / ``_first_rows`` directly and only
     # call these on a miss, keeping the steady-state cost to one list
     # index per decision.
     def next_row(self, dest: int) -> List[Tuple[int, ...]]:
         """Candidate outputs per input channel toward *dest* (dead-free)."""
-        dead = self._dead
-        src_row = self.routing.next_hops[dest]
-        if dead:
-            row = [
-                tuple(c for c in cands if c not in dead) if cands else cands
-                for cands in src_row
-            ]
-        else:
-            row = list(src_row)
-        self._next_rows[dest] = row
-        return row
+        return self._row(self._next_rows, self.routing.next_idx, dest)
 
     def first_row(self, dest: int) -> List[Tuple[int, ...]]:
         """Candidate first channels per source toward *dest* (dead-free)."""
-        dead = self._dead
-        src_row = self.routing.first_hops[dest]
-        if dead:
-            row = [
-                tuple(c for c in cands if c not in dead) if cands else cands
-                for cands in src_row
-            ]
-        else:
-            row = list(src_row)
-        self._first_rows[dest] = row
+        return self._row(self._first_rows, self.routing.first_idx, dest)
+
+    def _row(self, rows: list, index, dest: int) -> List[Tuple[int, ...]]:
+        row = rows[dest] = self._objects[index[dest]].tolist()
         return row
-
-    def lookup_next(self, dest: int, cid: int) -> Tuple[int, ...]:
-        """Convenience accessor (tests / diagnostics, not the hot loop)."""
-        row = self._next_rows[dest]
-        if row is None:
-            row = self.next_row(dest)
-        return row[cid]
-
-    def lookup_first(self, dest: int, source: int) -> Tuple[int, ...]:
-        """Convenience accessor (tests / diagnostics, not the hot loop)."""
-        row = self._first_rows[dest]
-        if row is None:
-            row = self.first_row(dest)
-        return row[source]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         filled = sum(r is not None for r in self._next_rows)

@@ -32,6 +32,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.routing.base import RoutingFunction
 from repro.routing.channel_graph import dependency_adjacency
 from repro.routing.verification import VerificationError
@@ -232,28 +234,28 @@ def _witness_suffix(
     routing: RoutingFunction,
     dest: int,
     dist_row: List[int],
+    hops: List[int],
     first: int,
     memo: Dict[int, Tuple[int, ...]],
 ) -> Tuple[int, ...]:
     """The witness path that *starts* with channel ``first`` toward *dest*.
 
-    The certified path always continues with the first candidate row
-    entry, so every source whose first hop lands on the same channel
-    shares the same tail.  *memo* caches one suffix tuple per channel
-    per destination: each channel's continuation is resolved once and
-    the shared tuples are reused across all ``O(n)`` sources, instead
-    of re-walking the table for every ordered pair.  *dist_row* is
-    ``routing.dist[dest]`` as a list.
+    The certified path always continues with the first candidate of
+    each state, ``hops[c]`` (``-1`` when the state has none), so every
+    source whose first hop lands on the same channel shares the same
+    tail.  *memo* caches one suffix tuple per channel per destination:
+    each channel's continuation is resolved once and the shared tuples
+    are reused across all ``O(n)`` sources, instead of re-walking the
+    table for every ordered pair.  *dist_row* is ``routing.dist[dest]``
+    as a list.
     """
-    nh = routing.next_hops[dest]
     chain = []
     c = first
     while c not in memo:
         if dist_row[c] <= 0:
             memo[c] = (c,)
             break
-        nxt = nh[c]
-        if not nxt:
+        if hops[c] < 0:
             raise VerificationError(
                 f"{routing.name}: cannot certify connectivity — table "
                 f"strands channel {c} toward {dest}",
@@ -262,9 +264,9 @@ def _witness_suffix(
                 stranded={"dest": dest, "channel": c},
             )
         chain.append(c)
-        c = nxt[0]
+        c = hops[c]
     for c in reversed(chain):
-        memo[c] = (c,) + memo[nh[c][0]]
+        memo[c] = (c,) + memo[hops[c]]
     return memo[first]
 
 
@@ -295,16 +297,19 @@ def certify_routing(
     # every entry at once, which raised peak memory measurably
     dist_rows = tuple(tuple(row.tolist()) for row in routing.dist)
 
+    # every state's first candidate, -1 where it has none
+    first_of = routing.candidate_matrix[:, 0]
+    hop = first_of[routing.next_idx]
     witnesses = []
     for d in range(topo.n):
         suffixes: Dict[int, Tuple[int, ...]] = {}
         row = dist_rows[d]
-        fh = routing.first_hops[d]
+        hops = hop[d].tolist()
+        firsts = first_of[routing.first_idx[d]].tolist()
         for s in range(topo.n):
             if s == d:
                 continue
-            opts = fh[s]
-            if not opts:
+            if firsts[s] < 0:
                 raise VerificationError(
                     f"{routing.name}: cannot certify connectivity — no "
                     f"admissible path {s}->{d}",
@@ -313,23 +318,23 @@ def certify_routing(
                     unroutable=[(s, d)],
                 )
             witnesses.append(
-                (s, d, _witness_suffix(routing, d, row, opts[0], suffixes))
+                (s, d, _witness_suffix(routing, d, row, hops, firsts[s], suffixes))
             )
 
-    hop_witnesses = []
-    for d, row in enumerate(dist_rows):
-        nh = routing.next_hops[d]
-        for c, rem in enumerate(row):
-            if 0 < rem < unreachable:
-                if not nh[c]:
-                    raise VerificationError(
-                        f"{routing.name}: cannot certify progress — dest "
-                        f"{d}, channel {c} has no next hop",
-                        routing_name=routing.name,
-                        kind="stranded",
-                        stranded={"dest": d, "channel": c, "remaining": rem},
-                    )
-                hop_witnesses.append((d, c, int(nh[c][0])))
+    dist = routing.dist
+    dests, chans = np.nonzero((dist > 0) & (dist < unreachable))
+    hops = hop[dests, chans]
+    if (hops < 0).any():
+        i = int(np.argmax(hops < 0))
+        d, c = int(dests[i]), int(chans[i])
+        raise VerificationError(
+            f"{routing.name}: cannot certify progress — dest "
+            f"{d}, channel {c} has no next hop",
+            routing_name=routing.name,
+            kind="stranded",
+            stranded={"dest": d, "channel": c, "remaining": dist_rows[d][c]},
+        )
+    hop_witnesses = list(zip(dests.tolist(), chans.tolist(), hops.tolist()))
 
     bundle = CertificateBundle(
         algorithm=algorithm if algorithm is not None else routing.name,

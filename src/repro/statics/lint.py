@@ -19,12 +19,12 @@ linter enforces them statically, with seven repo-specific rules:
     paired across algorithms and reproducible across runs.
 
 ``STA003`` *routing tables are builder-only*
-    No writes to ``first_hops`` / ``next_hops`` / ``channel_class``
-    attributes outside the builder modules (``routing/base.py``,
+    No writes to the routing-table attributes (``TABLE_ATTRIBUTES``)
+    outside the builder modules (``routing/base.py``,
     ``routing/table.py``, ``routing/serialization.py``,
     ``faults/controller.py``).  The engine fast path caches rows from
     these tables; a stray in-place mutation would silently desynchronise
-    the cache.
+    the cache.  The arrays are read-only at run time too.
 
 ``STA004`` *builders verify*
     Every ``build_*_routing`` function returning a ``RoutingFunction``
@@ -109,7 +109,9 @@ WALLCLOCK_BANNED = frozenset(
 RNG_BANNED_PREFIXES = ("numpy.random.", "random.")
 
 #: attributes only builders may assign (STA003)
-TABLE_ATTRIBUTES = frozenset({"first_hops", "next_hops", "channel_class"})
+TABLE_ATTRIBUTES = frozenset(
+    {"candidate_sets", "next_idx", "first_idx", "first_hops", "next_hops", "channel_class"}
+)
 
 #: modules allowed to deserialize with re-verification disabled (STA005):
 #: the artifact cache, whose entry checksums substitute for it

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,14 +44,40 @@ def fixed_path_routing(
     tm = TurnModel(
         topology, [0] * topology.num_channels, np.ones((1, 1), dtype=bool)
     )
+    return routing_from_rows(
+        topology, name, tm, dist, next_hops, first_hops, meta={"paths": dict(paths)}
+    )
+
+
+def routing_from_rows(
+    topology: Topology,
+    name: str,
+    turn_model: TurnModel,
+    dist: np.ndarray,
+    next_hops: Sequence[Sequence[Tuple[int, ...]]],
+    first_hops: Sequence[Sequence[Tuple[int, ...]]],
+    meta: Optional[Dict[str, object]] = None,
+) -> RoutingFunction:
+    """A :class:`RoutingFunction` from tuple rows ``next_hops[d][c]`` /
+    ``first_hops[d][s]``: each distinct tuple becomes one candidate set
+    (the empty set first) and the rows become index arrays."""
+    number: Dict[Tuple[int, ...], int] = {(): 0}
+
+    def index(rows, width: int) -> np.ndarray:
+        ids = [[number.setdefault(tuple(t), len(number)) for t in row] for row in rows]
+        return np.array(ids, dtype=np.int32).reshape(topology.n, width)
+
+    next_idx = index(next_hops, topology.num_channels)
+    first_idx = index(first_hops, topology.n)
     return RoutingFunction(
         topology=topology,
         name=name,
-        turn_model=tm,
+        turn_model=turn_model,
         dist=dist,
-        next_hops=tuple(tuple(r) for r in next_hops),
-        first_hops=tuple(tuple(r) for r in first_hops),
-        meta={"paths": dict(paths)},
+        candidate_sets=tuple(number),
+        next_idx=next_idx,
+        first_idx=first_idx,
+        meta=dict(meta or {}),
     )
 
 

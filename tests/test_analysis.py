@@ -15,6 +15,30 @@ from repro.topology.graph import Topology
 from tests.helpers import fixed_path_routing
 
 
+def loop_channel_load(routing):
+    """The per-destination walk :func:`expected_channel_load` replaced:
+    the reference its array passes must match bit for bit."""
+    n, n_ch = routing.topology.n, routing.topology.num_channels
+    total = np.zeros(n_ch, dtype=float)
+    for d in range(n):
+        dist_row = routing.dist[d]
+        nh, fh = routing.next_hops[d], routing.first_hops[d]
+        load = np.zeros(n_ch, dtype=float)
+        for s in range(n):
+            if s != d and fh[s]:
+                for c in fh[s]:
+                    load[c] += 1.0 / len(fh[s])
+        finite = [c for c in range(n_ch) if dist_row[c] != routing.UNREACHABLE]
+        finite.sort(key=lambda c: -int(dist_row[c]))
+        for c in finite:
+            if load[c] != 0.0 and dist_row[c] != 0:
+                share = load[c] / len(nh[c])
+                for b in nh[c]:
+                    load[b] += share
+        total += load
+    return total
+
+
 class TestExpectedLoad:
     def test_line_loads(self, line3):
         routing = build_up_down_routing(line3)
@@ -23,6 +47,14 @@ class TestExpectedLoad:
         assert load[line3.channel_id(0, 1)] == pytest.approx(2.0)
         assert load[line3.channel_id(1, 2)] == pytest.approx(2.0)
         assert load[line3.channel_id(1, 0)] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "builder", [build_down_up_routing, build_l_turn_routing, build_up_down_routing]
+    )
+    def test_matches_the_per_destination_walk(self, builder, medium_irregular):
+        routing = builder(medium_irregular)
+        for r in (routing, routing.deterministic(rng=3)):
+            assert expected_channel_load(r).tobytes() == loop_channel_load(r).tobytes()
 
     def test_total_equals_sum_of_path_lengths(self, small_irregular):
         routing = build_down_up_routing(small_irregular)

@@ -144,14 +144,19 @@ class TestShortestPaths:
 
 
 def _tables_match_reference(tm):
-    dist, next_hops, first_hops = shortest_path_tables(tm)
+    dist, sets, next_idx, first_idx = shortest_path_tables(tm)
     n, n_ch = tm.topology.n, tm.topology.num_channels
     assert dist.dtype == np.int32 and dist.shape == (n, n_ch)
+    assert next_idx.shape == (n, n_ch) and first_idx.shape == (n, n)
+    # distinct sets, the empty one first, numbered in first-seen order
+    assert sets[0] == () and len(set(sets)) == len(sets)
+    seen = list(dict.fromkeys([0, *next_idx.ravel(), *first_idx.ravel()]))
+    assert seen == list(range(len(sets)))
     for d in range(n):
         ref_dist, ref_nh, ref_fh = shortest_path_dags(tm, d)
         assert dist[d].tolist() == ref_dist
-        assert next_hops[d] == tuple(ref_nh)
-        assert first_hops[d] == tuple(ref_fh)
+        assert [sets[k] for k in next_idx[d]] == ref_nh
+        assert [sets[k] for k in first_idx[d]] == ref_fh
 
 
 class TestAllDestinationTables:
@@ -178,14 +183,18 @@ class TestAllDestinationTables:
 
     def test_high_degree_switch(self):
         # 69 ports at the hub: candidate masks no longer fit in int64
+        from repro.routing.table import build_routing_function
+        from repro.routing.verification import verify_routing
         from repro.topology.zoo import star
 
-        _tables_match_reference(unrestricted(star(70)))
+        tm = unrestricted(star(70))
+        _tables_match_reference(tm)
+        verify_routing(build_routing_function(tm, "star"))
 
     def test_single_switch(self):
-        dist, next_hops, first_hops = shortest_path_tables(
+        dist, sets, next_idx, first_idx = shortest_path_tables(
             unrestricted(Topology(1, []))
         )
-        assert dist.shape == (1, 0)
-        assert next_hops == ((),)
-        assert first_hops == (((),),)
+        assert dist.shape == (1, 0) and next_idx.shape == (1, 0)
+        assert sets == ((),)
+        assert first_idx.tolist() == [[0]]

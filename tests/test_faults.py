@@ -586,7 +586,7 @@ class TestDecisionCacheEpochs:
         cache = sim.decision_cache
         # populate some rows and worm memos
         for dst in range(topo.n):
-            cache.lookup_first(dst, 0)
+            cache.first_row(dst)[0]
         assert any(r is not None for r in cache._first_rows)
         epoch_before = cache.epoch
         new_routing = build_up_down_routing(topo)
@@ -606,15 +606,15 @@ class TestDecisionCacheEpochs:
     def test_dead_channel_mutation_bumps_epoch(self):
         topo, sim = self._loaded_sim(rng=10)
         cache = sim.decision_cache
-        cache.lookup_next(0, 0)
+        cache.next_row(0)[0]
         epoch = cache.epoch
         sim.dead_channels.add(3)
         assert cache.epoch == epoch + 1
         assert all(r is None for r in cache._next_rows)
         # cached rows rebuilt after the change exclude the dead channel
         for dst in range(topo.n):
-            for cid in range(topo.num_channels):
-                assert 3 not in cache.lookup_next(dst, cid)
+            for cands in cache.next_row(dst):
+                assert 3 not in cands
         sim.dead_channels.discard(3)
         assert cache.epoch == epoch + 2
 
@@ -626,7 +626,7 @@ class TestDecisionCacheEpochs:
             num_vcs=2,
         )
         cache = sim.decision_cache
-        cache.lookup_first(0, 1)
+        cache.first_row(0)[1]
         epoch = cache.epoch
         new_routing = build_down_up_routing(ring6)
         sim._fault_swap_routing(new_routing)

@@ -131,3 +131,72 @@ def test_deterministic_variant_roundtrips(small_irregular):
     assert back.next_hops == det.next_hops
     assert back.first_hops == det.first_hops
     assert routing_to_json(back) == text
+
+
+@pytest.fixture(scope="module")
+def tiny_text():
+    from repro.experiments.configs import get_preset
+    from repro.experiments.harness import build_routings, make_topology
+
+    preset = get_preset("tiny")
+    topo = make_topology(preset, preset.ports[0], 0)
+    built = build_routings(topo, preset, 0, ("M1",), ("down-up",))
+    return routing_to_json(built[("down-up", "M1")][0])
+
+
+def _append_set(candidate):
+    def edit(data):
+        data["candidates"].append(candidate)
+        data["next_hops"][0][0] = len(data["candidates"]) - 1
+
+    return edit
+
+
+def _set_entry(field, value):
+    def edit(data):
+        data[field][0][0] = value
+
+    return edit
+
+
+def _first_set(data):
+    data["candidates"][0] = data["candidates"][1]
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["unverified", "verified"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _append_set([1.5]),
+        _append_set([1.0]),
+        _append_set(3),
+        _append_set([[3]]),
+        _append_set([True]),
+        _append_set([3, 3]),
+        _set_entry("next_hops", True),
+        _set_entry("first_hops", False),
+        _set_entry("next_hops", 1.0),
+        _set_entry("dist", 2.5),
+        _set_entry("dist", True),
+        _first_set,
+    ],
+    ids=[
+        "float-channel",
+        "integral-float-channel",
+        "bare-integer-set",
+        "nested-list-set",
+        "bool-channel",
+        "repeated-channel",
+        "bool-next-index",
+        "bool-first-index",
+        "float-index",
+        "float-dist",
+        "bool-dist",
+        "non-empty-first-set",
+    ],
+)
+def test_malformed_entries_raise_value_error(tiny_text, edit, verify):
+    data = json.loads(tiny_text)
+    edit(data)
+    with pytest.raises(ValueError):
+        routing_from_json(json.dumps(data), verify=verify)

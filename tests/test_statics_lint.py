@@ -6,6 +6,8 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.statics.lint import lint_file, lint_paths, lint_source
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -87,6 +89,17 @@ class TestSTA003TableWrites:
     def test_augmented_write_fires(self):
         assert codes("r.channel_class[3] += 1\n") == ["STA003"]
 
+    @pytest.mark.parametrize(
+        "write",
+        [
+            "r.candidate_sets = ((),)\n",
+            "r.next_idx[0, 1] = 2\n",
+            "r.first_idx[0][1] += 1\n",
+        ],
+    )
+    def test_index_table_writes_fire(self, write):
+        assert codes(write) == ["STA003"]
+
     def test_builder_module_is_allowed(self):
         assert (
             codes("r.first_hops = ()\n", module_rel="repro/routing/table.py")
@@ -95,6 +108,38 @@ class TestSTA003TableWrites:
 
     def test_reading_tables_is_fine(self):
         assert codes("x = r.first_hops[0][1]\n") == []
+
+
+class TestTablesReadOnly:
+    """STA003 catches writes in source; the arrays refuse them at run
+    time, for built, decoded, remapped and derived routings alike."""
+
+    @pytest.fixture(scope="class")
+    def routings(self):
+        from repro.core.downup import build_down_up_routing
+        from repro.faults.controller import remap_routing
+        from repro.routing.serialization import routing_from_json, routing_to_json
+        from repro.topology.generator import random_irregular_topology
+
+        topo = random_irregular_topology(12, 4, rng=5)
+        built = build_down_up_routing(topo, rng=1)
+        return {
+            "built": built,
+            "decoded": routing_from_json(routing_to_json(built), verify=False),
+            "remapped": remap_routing(built, topo, list(range(topo.n))),
+            "deterministic": built.deterministic(rng=2),
+        }
+
+    @pytest.mark.parametrize("kind", ["built", "decoded", "remapped", "deterministic"])
+    @pytest.mark.parametrize(
+        "table", ["dist", "next_idx", "first_idx", "candidate_matrix", "candidate_sizes"]
+    )
+    def test_in_place_write_raises(self, routings, kind, table):
+        array = getattr(routings[kind], table)
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 class TestSTA004BuildersVerify:

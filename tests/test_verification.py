@@ -7,7 +7,7 @@ verifier actually *fails* on broken inputs.
 import numpy as np
 import pytest
 
-from repro.routing.base import RoutingFunction, TurnModel
+from repro.routing.base import TurnModel
 from repro.routing.table import build_routing_function
 from repro.routing.verification import (
     VerificationError,
@@ -18,6 +18,7 @@ from repro.routing.verification import (
 )
 from repro.topology import zoo
 from repro.topology.graph import Topology
+from tests.helpers import routing_from_rows
 
 
 def unrestricted_tm(topo):
@@ -61,13 +62,8 @@ class TestProgress:
         bad_dist = ok.dist.copy()
         bad_dist.setflags(write=True)
         bad_dist[2][c12] = 5  # no longer dist[c01] - 1
-        broken = RoutingFunction(
-            topology=ok.topology,
-            name="broken",
-            turn_model=ok.turn_model,
-            dist=bad_dist,
-            next_hops=tuple(tuple(r) for r in bad_next),
-            first_hops=ok.first_hops,
+        broken = routing_from_rows(
+            ok.topology, "broken", ok.turn_model, bad_dist, bad_next, ok.first_hops
         )
         with pytest.raises(VerificationError, match="decrease"):
             assert_progress(broken)
@@ -77,13 +73,8 @@ class TestProgress:
         c01 = line3.channel_id(0, 1)
         bad_next = [list(row) for row in ok.next_hops]
         bad_next[2][c01] = ()  # strand packets arriving at 1 heading to 2
-        broken = RoutingFunction(
-            topology=ok.topology,
-            name="broken",
-            turn_model=ok.turn_model,
-            dist=ok.dist,
-            next_hops=tuple(tuple(r) for r in bad_next),
-            first_hops=ok.first_hops,
+        broken = routing_from_rows(
+            ok.topology, "broken", ok.turn_model, ok.dist, bad_next, ok.first_hops
         )
         with pytest.raises(VerificationError, match="no admissible next hop"):
             assert_progress(broken)
@@ -121,13 +112,8 @@ class TestStructuredPayloads:
         c01 = line3.channel_id(0, 1)
         bad_next = [list(row) for row in ok.next_hops]
         bad_next[2][c01] = ()
-        broken = RoutingFunction(
-            topology=ok.topology,
-            name="broken",
-            turn_model=ok.turn_model,
-            dist=ok.dist,
-            next_hops=tuple(tuple(r) for r in bad_next),
-            first_hops=ok.first_hops,
+        broken = routing_from_rows(
+            ok.topology, "broken", ok.turn_model, ok.dist, bad_next, ok.first_hops
         )
         with pytest.raises(VerificationError) as exc:
             assert_progress(broken)
@@ -141,13 +127,8 @@ class TestStructuredPayloads:
         bad_dist = ok.dist.copy()
         bad_dist.setflags(write=True)
         bad_dist[2][c12] = 5
-        broken = RoutingFunction(
-            topology=ok.topology,
-            name="broken",
-            turn_model=ok.turn_model,
-            dist=bad_dist,
-            next_hops=ok.next_hops,
-            first_hops=ok.first_hops,
+        broken = routing_from_rows(
+            ok.topology, "broken", ok.turn_model, bad_dist, ok.next_hops, ok.first_hops
         )
         with pytest.raises(VerificationError) as exc:
             assert_progress(broken)
@@ -187,3 +168,61 @@ class TestVerifyRouting:
         r = build_routing_function(tm, "broken")
         with pytest.raises(ValueError, match="no admissible path"):
             r.path_length(0, 2)
+
+
+class TestAdmissible:
+    """A candidate must be a legal move, not merely a shorter one: the
+    loader's re-verification has to refuse tampered tables whose bad
+    hop still decreases the distance."""
+
+    @pytest.fixture(scope="class")
+    def quick_down_up(self):
+        from repro.experiments.configs import get_preset
+        from repro.experiments.harness import build_routings, make_topology
+
+        preset = get_preset("quick")
+        topo = make_topology(preset, preset.ports[0], 0)
+        built = build_routings(topo, preset, 0, ("M1",), ("down-up",))
+        return built[("down-up", "M1")][0]
+
+    @pytest.mark.parametrize(
+        "dest, channel, hop, reason",
+        [(0, 7, 15, "does not leave switch"), (1, 38, 5, "prohibited turn")],
+        ids=["teleport", "prohibited-turn"],
+    )
+    def test_tampered_next_hop_refused_by_loader(
+        self, quick_down_up, tmp_path, dest, channel, hop, reason
+    ):
+        import json
+
+        from repro.routing.serialization import load_routing, routing_to_json
+
+        data = json.loads(routing_to_json(quick_down_up))
+        data["candidates"].append([hop])
+        data["next_hops"][dest][channel] = len(data["candidates"]) - 1
+        path = tmp_path / "routing.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(VerificationError, match=reason) as exc:
+            load_routing(path, verify=True)
+        assert exc.value.kind == "inadmissible"
+        assert exc.value.stranded == {
+            "dest": dest, "channel": channel, "candidate": hop
+        }
+        # the hop is one closer: only the admissibility part rejects it
+        bad = load_routing(path, verify=False)
+        assert bad.dist[dest, hop] == bad.dist[dest, channel] - 1
+        with pytest.raises(VerificationError, match=reason):
+            assert_progress(bad)
+
+    def test_first_hop_must_leave_the_source(self, line3):
+        ok = build_routing_function(unrestricted_tm(line3), "ok")
+        c12 = line3.channel_id(1, 2)
+        bad_first = [list(row) for row in ok.first_hops]
+        bad_first[2][0] = (c12,)  # injected at 0, but 1->2 leaves switch 1
+        broken = routing_from_rows(
+            ok.topology, "broken", ok.turn_model, ok.dist, ok.next_hops, bad_first
+        )
+        with pytest.raises(VerificationError, match="does not leave source 0") as exc:
+            assert_connected(broken)
+        assert exc.value.kind == "inadmissible"
+        assert exc.value.stranded == {"dest": 2, "source": 0, "candidate": c12}
