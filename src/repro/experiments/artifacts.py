@@ -25,8 +25,8 @@ Two layers:
   never alias a cached entry.  Entries carry a header line with a
   SHA-256 checksum of the payload bytes; publication is
   write-to-temp-then-``os.replace`` (atomic on POSIX) guarded by a
-  non-blocking ``fcntl.flock`` single-writer lock — the same discipline
-  as :class:`~repro.experiments.ledger.ResultLedger`.  A torn or
+  non-blocking ``fcntl.flock`` on a per-entry lock file, so a busy lock
+  always means another writer is publishing the same digest.  A torn or
   corrupted entry (e.g. left by a SIGKILLed worker) fails its checksum,
   is counted and treated as a miss, and is overwritten by the next
   successful publication; it can never poison results.
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-try:  # advisory single-writer locking; absent on some platforms
+try:  # advisory per-entry locking; absent on some platforms
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None  # type: ignore[assignment]
@@ -197,7 +197,7 @@ class ArtifactCache:
 
     One instance per process per store directory.  All reads verify the
     per-entry payload checksum; all writes publish atomically under a
-    non-blocking single-writer lock.  ``max_memory_entries`` bounds the
+    non-blocking per-entry lock.  ``max_memory_entries`` bounds the
     in-process decoded-object LRU (0 disables it).
 
     *shared_root* adds an optional multi-host **read-through tier** (a
@@ -278,7 +278,7 @@ class ArtifactCache:
 
         The entry's bytes are checksum-verified *before* anything is
         copied into the local store, and the exact verified bytes are
-        what gets published (atomically, under the local writer lock) —
+        what gets published (atomically, under the entry's local lock) —
         so a corrupted or half-written peer entry can never enter the
         local tier, and a reader never observes a torn import.
         """
@@ -300,13 +300,14 @@ class ArtifactCache:
         """Atomically publish one entry file into *root*.
 
         Write-to-temp + ``os.replace``: readers only ever see a complete
-        entry under the final name.  The per-store flock keeps
-        concurrent pools from duplicating serialization work; a busy
-        lock just skips the publish (the artifact was built anyway, and
-        whoever holds the lock is publishing its own copy of identical
-        content).
+        entry under the final name.  The flock on ``<digest>.lock``
+        keeps concurrent pools from duplicating serialization work; a
+        busy lock just skips the publish (the artifact was built anyway,
+        and whoever holds that entry's lock is publishing identical
+        content under the same name).  Publishes of different entries
+        never contend.
         """
-        lock_fh = open(root / "writer.lock", "a")
+        lock_fh = open(root / f"{digest}.lock", "a")
         try:
             if fcntl is not None:
                 try:
@@ -616,16 +617,22 @@ def verify_store(root: Union[str, Path]) -> Tuple[int, List[str]]:
 
 
 def clear_store(root: Union[str, Path]) -> int:
-    """Delete every entry, temp file and counter record; keep the dir."""
+    """Delete every entry, temp file and counter record; keep the dir.
+
+    Returns the number of those files removed.  Per-entry lock files
+    are removed too but not counted: they hold no data.
+    """
     root = Path(root)
     if not root.is_dir():
         return 0
     removed = 0
     for p in root.iterdir():
-        if (
+        if p.name.endswith(".lock"):
+            p.unlink(missing_ok=True)
+        elif (
             p.name.endswith(".json")
             or p.name.startswith("tmp-")
-            or p.name in ("counters.jsonl", "writer.lock")
+            or p.name == "counters.jsonl"
         ):
             p.unlink(missing_ok=True)
             removed += 1

@@ -55,22 +55,24 @@ class LiveFaultResult:
         return row
 
 
-def _make_builder(
-    algorithm: str, method: TreeMethod, seed: int
-) -> Callable[[Topology], object]:
+@dataclass(frozen=True)
+class _SurvivorBuilder:
     """A survivor-topology routing builder for the controller.
 
     Rebuilds the coordinated tree *on the degraded graph* — online
     reconfiguration recomputes its spanning tree, it does not try to
-    salvage the broken one — then runs the named algorithm on it.
+    salvage the broken one — then runs the named algorithm on it.  Equal
+    fields make equal builders, so every run of one schedule shares the
+    controller's certified rebuilds.
     """
-    build = ALGORITHMS[algorithm]
 
-    def builder(sub: Topology):
-        tree = build_coordinated_tree(sub, method=method, rng=seed)
-        return build(sub, tree=tree, rng=seed)
+    algorithm: str
+    method: TreeMethod
+    seed: int
 
-    return builder
+    def __call__(self, sub: Topology):
+        tree = build_coordinated_tree(sub, method=self.method, rng=self.seed)
+        return ALGORITHMS[self.algorithm](sub, tree=tree, rng=self.seed)
 
 
 def _cached_initial_build(
@@ -80,8 +82,9 @@ def _cached_initial_build(
 
     Keyed by topology *content* digest, so any caller handing the same
     graph (regardless of how it was generated) shares the entry.  Only
-    the initial build is cached: reconfiguration rebuilds run on
-    degraded survivor graphs mid-simulation, each typically seen once.
+    the initial build goes through the artifact cache: reconfiguration
+    rebuilds are memoised in-process by the controller, keyed by the
+    builder and the survivor's content digest.
     """
     from repro.experiments.artifacts import tree_key_digest
 
@@ -129,8 +132,11 @@ def run_live_fault_campaign(
     scenario fails loudly rather than producing a quiet bad row.
 
     *artifact_cache* serves the initial (pre-fault) tree/routing builds
-    from the content-addressed construction cache; recovery rebuilds on
-    degraded graphs always run live.
+    from the content-addressed construction cache.  Recovery rebuilds
+    run once per distinct (algorithm, tree method, seed, survivor) per
+    process: the controller memoises each certified survivor routing,
+    so later runs of the same schedule (the other policy, a repeat)
+    reuse it and only remap it.
     """
     if schedule.topology != topology:
         raise ValueError("fault schedule built for a different topology")
@@ -143,7 +149,7 @@ def run_live_fault_campaign(
     results: List[LiveFaultResult] = []
     for alg in algorithms:
         alg_seed = derive_seed(seed, zlib.crc32(alg.encode()))
-        builder = _make_builder(alg, method, alg_seed)
+        builder = _SurvivorBuilder(alg, method, alg_seed)
         if cache is None:
             routing = builder(topology)
         else:

@@ -8,13 +8,21 @@ engine would be invalidated.  The controller therefore:
 
 1. extracts the *surviving sub-topology* with switches renumbered
    densely (:func:`surviving_topology`),
-2. runs the configured routing builder on it and re-verifies the result
+2. runs the configured routing builder on it, re-verifies the result
    against Theorem 1 (:func:`repro.routing.verification.verify_routing`
    — acyclic channel dependency graph, all-pairs connectivity,
-   progress), and
+   progress), certifies it and re-validates the certificate with the
+   independent checker, and
 3. remaps the verified tables back into the full topology's channel and
    switch id space (:func:`remap_routing`), with dead channels carrying
    empty candidate sets and ``UNREACHABLE`` distances.
+
+Step 2 runs once per distinct (builder, survivor) pair per process: its
+result is memoised by the survivor's content digest
+(:func:`survivor_digest`), so a state revisited later in the run (a
+flap's UP edge restoring an earlier survivor) or by a later run of the
+same schedule installs a table that was verified, certified and
+rechecked before its first install.  Step 3 runs on every install.
 
 The engine can then swap the remapped function in atomically
 (``_fault_swap_routing``) without touching any in-flight state arrays.
@@ -22,6 +30,9 @@ The engine can then swap the remapped function in atomically
 
 from __future__ import annotations
 
+import hashlib
+import threading
+from collections import OrderedDict
 from typing import Callable, Iterable, List, Tuple
 
 import numpy as np
@@ -29,10 +40,22 @@ import numpy as np
 from repro.routing.base import RoutingFunction
 from repro.routing.verification import verify_routing
 from repro.topology.graph import Topology
+from repro.topology.serialization import topology_to_json
 
 #: A routing builder for the controller: connected topology in,
-#: (builder-)verified RoutingFunction on that same topology out.
+#: (builder-)verified RoutingFunction on that same topology out.  It
+#: must be a deterministic function of the survivor topology (every
+#: builder in the repository is seeded with an int): certified rebuilds
+#: are memoised by ``(builder, survivor digest)``, so equal builders
+#: share entries and a builder is called once per distinct survivor.
 RoutingBuilder = Callable[[Topology], RoutingFunction]
+
+#: bound of the process-wide certified-rebuild memo (a 128-switch
+#: survivor routing with its turn model holds about 0.6 MB)
+REBUILD_MEMO_ENTRIES = 16
+
+_CERTIFIED: "OrderedDict[tuple, Tuple[RoutingFunction, str]]" = OrderedDict()
+_CERTIFIED_LOCK = threading.Lock()
 
 
 def surviving_topology(
@@ -62,6 +85,49 @@ def surviving_topology(
     if not sub.is_connected():
         raise ValueError("surviving network is disconnected")
     return sub, live
+
+
+def survivor_digest(topology: Topology) -> str:
+    """Content digest of a survivor topology (dedupe and memo key).
+
+    Same serialization the artifact store hashes
+    (:func:`repro.experiments.artifacts.topology_digest` is this exact
+    computation), so survivor keys line up with campaign cache keys
+    without this module importing the experiments layer.
+    """
+    payload = topology_to_json(topology).encode("utf-8")
+    return "sha256:" + hashlib.sha256(payload).hexdigest()
+
+
+def _certified_survivor(
+    builder: RoutingBuilder, sub: Topology
+) -> Tuple[RoutingFunction, str]:
+    """``(verified routing, certificate digest)`` of *builder* on *sub*.
+
+    A miss builds, verifies, certifies and independently rechecks, then
+    stores the result in the bounded LRU; a hit returns the stored pair.
+    A failing check raises and stores nothing.
+    """
+    # imported lazily: repro.statics imports this module for the
+    # pre-flight sweep, so a top-level import would be circular
+    from repro.statics.certificates import certify_routing
+    from repro.statics.check import recheck
+
+    key = (builder, survivor_digest(sub))
+    with _CERTIFIED_LOCK:
+        hit = _CERTIFIED.get(key)
+        if hit is not None:
+            _CERTIFIED.move_to_end(key)
+            return hit
+    routing = verify_routing(builder(sub))
+    bundle = certify_routing(routing)
+    recheck(bundle)
+    hit = (routing, bundle.digest)
+    with _CERTIFIED_LOCK:
+        _CERTIFIED[key] = hit
+        while len(_CERTIFIED) > REBUILD_MEMO_ENTRIES:
+            _CERTIFIED.popitem(last=False)
+    return hit
 
 
 def remap_routing(
@@ -156,21 +222,16 @@ class ReconfigurationController:
         table never reaches a running engine.  A deadlock-freedom
         certificate is then emitted on the survivor routing and
         re-validated by the independent checker; its digest is recorded
-        in ``meta["certificate_digest"]``.  The result is in full-id
-        space.
+        in ``meta["certificate_digest"]``.  A survivor this builder
+        already certified in this process is served from the memo
+        without repeating those steps.  The result is in full-id space,
+        with a fresh ``meta`` per call.
         """
-        # imported lazily: repro.statics imports this module for the
-        # pre-flight sweep, so a top-level import would be circular
-        from repro.statics.certificates import certify_routing
-        from repro.statics.check import recheck
-
         sub, live = surviving_topology(topology, dead_links, dead_switches)
-        routing = verify_routing(self.builder(sub))
-        bundle = certify_routing(routing)
-        recheck(bundle)
+        routing, cert_digest = _certified_survivor(self.builder, sub)
         remapped = remap_routing(routing, topology, live)
         remapped.meta["verified"] = True
-        remapped.meta["certificate_digest"] = bundle.digest
+        remapped.meta["certificate_digest"] = cert_digest
         remapped.meta["certificate_checked"] = True
         if tag:
             remapped.meta["reconfiguration"] = tag

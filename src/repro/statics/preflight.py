@@ -25,11 +25,10 @@ as fresh ones.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.faults.controller import surviving_topology
+from repro.faults.controller import survivor_digest, surviving_topology
 from repro.faults.schedule import LINK_DOWN, LINK_UP, FaultSchedule
 from repro.routing.base import RoutingFunction
 from repro.routing.verification import verify_routing
@@ -94,20 +93,6 @@ def induced_fault_states(schedule: FaultSchedule) -> List[FaultState]:
             )
         )
     return states
-
-
-def survivor_digest(topology: Topology) -> str:
-    """Content digest of a survivor topology (dedupe/cache key).
-
-    Same serialization the artifact store hashes
-    (:func:`repro.experiments.artifacts.topology_digest` is this exact
-    computation), so preflight cache keys line up with campaign cache
-    keys without this module importing the experiments layer.
-    """
-    from repro.topology.serialization import topology_to_json
-
-    payload = topology_to_json(topology).encode("utf-8")
-    return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
 def preflight_schedule(

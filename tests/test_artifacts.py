@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 
 import numpy as np
@@ -481,6 +482,62 @@ class TestConcurrentPopulation:
             "tree": 1,
         }
         assert verify_store(store)[1] == []
+
+    def test_publish_lands_while_another_entry_publishes(
+        self, tiny, tmp_path, monkeypatch
+    ):
+        """A writer stalled mid-publish of one entry must not make a
+        concurrent publish of a different entry skip."""
+        store = tmp_path / "store"
+        stalled, release = threading.Event(), threading.Event()
+        real_fsync = os.fsync
+        first = [True]
+
+        def fsync(fd):
+            if first[0]:  # the background writer's call, inside its lock
+                first[0] = False
+                stalled.set()
+                release.wait(30)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        writer = threading.Thread(
+            target=lambda: make_topology(tiny, 4, 1, cache=ArtifactCache(store))
+        )
+        writer.start()
+        try:
+            assert stalled.wait(30)
+            cache = ArtifactCache(store)
+            make_topology(tiny, 4, 0, cache=cache)
+            assert cache.counters.publish_skipped == 0
+            assert store_stats(store)["entries"] == 1
+        finally:
+            release.set()
+            writer.join(60)
+        assert not writer.is_alive()
+        assert verify_store(store) == (2, [])
+
+    def test_busy_entry_lock_skips_only_that_entry(self, tiny, tmp_path):
+        """A held lock means that entry is being published: skip it, and
+        keep the lock files out of every store count."""
+        fcntl = pytest.importorskip("fcntl")
+        probe = tmp_path / "probe"
+        make_topology(tiny, 4, 0, cache=ArtifactCache(probe))
+        (digest,) = [p.stem for p in probe.glob("*.json")]
+        store = tmp_path / "store"
+        store.mkdir()
+        with open(store / f"{digest}.lock", "a") as held:
+            fcntl.flock(held.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            cache = ArtifactCache(store)
+            make_topology(tiny, 4, 0, cache=cache)
+            assert cache.counters.publish_skipped == 1
+            assert store_stats(store)["entries"] == 0
+            make_topology(tiny, 4, 1, cache=cache)
+        assert cache.counters.publish_skipped == 1
+        assert store_stats(store)["entries"] == 1
+        assert verify_store(store) == (1, [])
+        assert clear_store(store) == 1
+        assert list(store.iterdir()) == []
 
 
 class TestTreeCodec:

@@ -33,17 +33,20 @@ class TestControllerCertifies:
 
     def test_rebuild_digest_is_pinned(self):
         """A dead link plus a dead switch on a fixed 32-switch network;
-        the digest was recorded before the rebuild path was optimised."""
+        the digest was recorded before the rebuild path was optimised.
+        The second rebuild is served by the controller's memo and must
+        carry the same digest."""
         topo = random_irregular_topology(32, 4, rng=3)
         ctrl = ReconfigurationController(
             lambda sub: build_down_up_routing(sub, rng=7)
         )
-        remapped = ctrl.rebuild(topo, [topo.links[0]], [5], tag="pin")
-        assert remapped.meta["certificate_digest"] == (
-            "sha256:f921fdd728e9f836f287d36e345bbcbd"
-            "827b8e531dd484edc31c49b1d7289b93"
-        )
-        assert remapped.meta["certificate_checked"] is True
+        for _ in range(2):
+            remapped = ctrl.rebuild(topo, [topo.links[0]], [5], tag="pin")
+            assert remapped.meta["certificate_digest"] == (
+                "sha256:f921fdd728e9f836f287d36e345bbcbd"
+                "827b8e531dd484edc31c49b1d7289b93"
+            )
+            assert remapped.meta["certificate_checked"] is True
 
     def test_distinct_fault_states_get_distinct_digests(self, topo16):
         ctrl = ReconfigurationController(
