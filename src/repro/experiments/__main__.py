@@ -776,7 +776,7 @@ def _cmd_certify(args) -> int:
             f"certified ({len(entries)} degraded state(s), {alg})"
         )
         for e in entries:
-            print(f"  {e.state.describe()} -> {e.bundle.digest[:23]}")
+            print(f"  {e.state.describe()} -> {e.certificate_digest[:23]}")
     return 0
 
 

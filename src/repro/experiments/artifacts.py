@@ -75,7 +75,11 @@ from repro.routing.serialization import (
     tree_to_json,
 )
 from repro.topology.graph import Topology
-from repro.topology.serialization import topology_from_json, topology_to_json
+from repro.topology.serialization import (
+    topology_digest,
+    topology_from_json,
+    topology_to_json,
+)
 
 #: on-disk entry layout version; mismatched entries are treated as misses
 ARTIFACT_FORMAT = "repro-artifact-v1"
@@ -149,13 +153,6 @@ def _validated_entry_raw(
     return raw, payload, False
 
 
-def topology_digest(topology: Topology) -> str:
-    """Content digest of a topology (keys trees/routings built on it)."""
-    return hashlib.sha256(
-        topology_to_json(topology).encode("utf-8")
-    ).hexdigest()
-
-
 def tree_key_digest(topology: Topology, method: str, seed: int) -> str:
     """Digest of a tree's input closure — chains routing keys to trees."""
     return artifact_digest(
@@ -195,7 +192,8 @@ class CacheCounters:
 class ArtifactCache:
     """Process-safe, content-addressed construction cache.
 
-    One instance per process per store directory.  All reads verify the
+    One instance per process per store directory, bound through
+    :func:`set_process_cache`.  All reads verify the
     per-entry payload checksum; all writes publish atomically under a
     non-blocking per-entry lock.  ``max_memory_entries`` bounds the
     in-process decoded-object LRU (0 disables it).
@@ -457,20 +455,6 @@ class ArtifactCache:
             lambda s: routing_from_json(s, verify=False),
         )
 
-    def certificate(
-        self, routing_key: Dict[str, object], build: Callable[[], object]
-    ):
-        """A digest-stamped certificate bundle keyed like its routing."""
-        from repro.statics.certificates import CertificateBundle
-
-        return self.get_or_build(
-            "certificate",
-            dict(routing_key),
-            build,
-            lambda b: b.to_json(),
-            lambda s: CertificateBundle.from_json(s),
-        )
-
     # -- counters ------------------------------------------------------
     def flush_counters(self) -> None:
         """Append this instance's counter delta to the shared tally.
@@ -649,21 +633,21 @@ _PROCESS_CACHE: Optional[ArtifactCache] = None
 def set_process_cache(
     path: Optional[Union[str, Path, ArtifactCache]],
     shared: Optional[Union[str, Path]] = None,
-) -> None:
-    """(Re)bind the process-wide cache.  ``None`` disables it; an
-    :class:`ArtifactCache` instance is bound as is (*shared* ignored).
+) -> Optional[ArtifactCache]:
+    """(Re)bind the process-wide cache and return it.  ``None`` disables
+    it; an :class:`ArtifactCache` instance is bound as is (*shared*
+    ignored); a store path keeps the bound instance when its roots match.
 
-    The :class:`~concurrent.futures.ProcessPoolExecutor` initializer
-    binds through it: workers receive the store path once at pool start and
-    every :func:`~repro.experiments.parallel.run_unit` in the process
-    shares one instance (and therefore one decoded-object LRU).
-    *shared* names the optional multi-host read-through tier behind
-    the local store.
+    This is the one way ``repro`` opens a store: the pool initializer
+    binds through it, and so does every entry point handed a store
+    path, so all work in a process shares one instance (and therefore
+    one decoded-object LRU) per store.  *shared* names the optional
+    multi-host read-through tier behind the local store.
     """
     global _PROCESS_CACHE
     if path is None or isinstance(path, ArtifactCache):
         _PROCESS_CACHE = path
-        return
+        return path
     shared_root = Path(shared) if shared is not None else None
     if (
         _PROCESS_CACHE is None
@@ -671,6 +655,7 @@ def set_process_cache(
         or _PROCESS_CACHE.shared_root != shared_root
     ):
         _PROCESS_CACHE = ArtifactCache(path, shared_root=shared)
+    return _PROCESS_CACHE
 
 
 def process_cache() -> Optional[ArtifactCache]:

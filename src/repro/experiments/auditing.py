@@ -56,15 +56,12 @@ def run_topology_audits(
     gets ``audit.csv`` + ``audit.txt`` artefacts.
     """
     from repro.analysis.turn_slack import render_turn_slack_table, turn_slack_csv
-    from repro.experiments.artifacts import (
-        ArtifactCache,
-        artifact_digest,
-        topology_digest,
-    )
+    from repro.experiments.artifacts import artifact_digest, set_process_cache
     from repro.experiments.ledger import ResultLedger
+    from repro.topology.serialization import topology_digest
 
     say = progress or (lambda _msg: None)
-    cache = ArtifactCache(artifact_cache) if artifact_cache is not None else None
+    cache = set_process_cache(artifact_cache) if artifact_cache is not None else None
     ledger = (
         ResultLedger(ledger_path, resume=resume)
         if ledger_path is not None

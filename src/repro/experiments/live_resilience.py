@@ -132,20 +132,21 @@ def run_live_fault_campaign(
     scenario fails loudly rather than producing a quiet bad row.
 
     *artifact_cache* serves the initial (pre-fault) tree/routing builds
-    from the content-addressed construction cache.  Recovery rebuilds
-    run once per distinct (algorithm, tree method, seed, survivor) per
-    process: the controller memoises each certified survivor routing,
-    so later runs of the same schedule (the other policy, a repeat)
-    reuse it and only remap it.
+    from the content-addressed construction cache, bound to the process
+    so that repeated calls on one store share its decoded-object LRU.
+    Recovery rebuilds run once per distinct (algorithm, tree method,
+    seed, survivor) per process: the controller memoises each certified
+    survivor routing, so later runs of the same schedule (the other
+    policy, a repeat) reuse it and only remap it.
     """
     if schedule.topology != topology:
         raise ValueError("fault schedule built for a different topology")
     say = progress or (lambda msg: None)
     cache = None
     if artifact_cache is not None:
-        from repro.experiments.artifacts import ArtifactCache
+        from repro.experiments.artifacts import set_process_cache
 
-        cache = ArtifactCache(artifact_cache)
+        cache = set_process_cache(artifact_cache)
     results: List[LiveFaultResult] = []
     for alg in algorithms:
         alg_seed = derive_seed(seed, zlib.crc32(alg.encode()))

@@ -194,9 +194,9 @@ def run_static_tables(
 
     cache = None
     if artifact_cache is not None:
-        from repro.experiments.artifacts import ArtifactCache
+        from repro.experiments.artifacts import set_process_cache
 
-        cache = ArtifactCache(artifact_cache)
+        cache = set_process_cache(artifact_cache)
     for ports in ports_list:
         for sample in range(preset.samples):
             topology = make_topology(preset, ports, sample, cache=cache)

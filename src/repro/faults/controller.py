@@ -17,12 +17,13 @@ engine would be invalidated.  The controller therefore:
    switch id space (:func:`remap_routing`), with dead channels carrying
    empty candidate sets and ``UNREACHABLE`` distances.
 
-Step 2 runs once per distinct (builder, survivor) pair per process: its
-result is memoised by the survivor's content digest
-(:func:`survivor_digest`), so a state revisited later in the run (a
-flap's UP edge restoring an earlier survivor) or by a later run of the
-same schedule installs a table that was verified, certified and
-rechecked before its first install.  Step 3 runs on every install.
+Step 2 runs once per distinct (builder, survivor) pair per process
+(:func:`certified_survivor`): its result is memoised by the survivor's
+content digest, so a state revisited later in the run (a flap's UP edge
+restoring an earlier survivor), a later run of the same schedule, or
+:func:`repro.statics.preflight.preflight_schedule` before the run gets
+a table that was verified, certified and rechecked once, before its
+first use.  Step 3 runs on every install.
 
 The engine can then swap the remapped function in atomically
 (``_fault_swap_routing``) without touching any in-flight state arrays.
@@ -30,7 +31,6 @@ The engine can then swap the remapped function in atomically
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from typing import Callable, Iterable, List, Tuple
@@ -40,7 +40,7 @@ import numpy as np
 from repro.routing.base import RoutingFunction
 from repro.routing.verification import verify_routing
 from repro.topology.graph import Topology
-from repro.topology.serialization import topology_to_json
+from repro.topology.serialization import topology_digest
 
 #: A routing builder for the controller: connected topology in,
 #: (builder-)verified RoutingFunction on that same topology out.  It
@@ -87,33 +87,24 @@ def surviving_topology(
     return sub, live
 
 
-def survivor_digest(topology: Topology) -> str:
-    """Content digest of a survivor topology (dedupe and memo key).
-
-    Same serialization the artifact store hashes
-    (:func:`repro.experiments.artifacts.topology_digest` is this exact
-    computation), so survivor keys line up with campaign cache keys
-    without this module importing the experiments layer.
-    """
-    payload = topology_to_json(topology).encode("utf-8")
-    return "sha256:" + hashlib.sha256(payload).hexdigest()
-
-
-def _certified_survivor(
+def certified_survivor(
     builder: RoutingBuilder, sub: Topology
 ) -> Tuple[RoutingFunction, str]:
     """``(verified routing, certificate digest)`` of *builder* on *sub*.
 
-    A miss builds, verifies, certifies and independently rechecks, then
-    stores the result in the bounded LRU; a hit returns the stored pair.
-    A failing check raises and stores nothing.
+    The one certify-once path for survivor networks: the controller's
+    rebuilds and the pre-flight sweep both go through it.  A miss
+    builds, verifies, certifies and independently rechecks, then stores
+    the result in the bounded LRU keyed by ``(builder, topology
+    digest)``; a hit returns the stored pair.  A failing check raises
+    and stores nothing.
     """
     # imported lazily: repro.statics imports this module for the
     # pre-flight sweep, so a top-level import would be circular
     from repro.statics.certificates import certify_routing
     from repro.statics.check import recheck
 
-    key = (builder, survivor_digest(sub))
+    key = (builder, topology_digest(sub))
     with _CERTIFIED_LOCK:
         hit = _CERTIFIED.get(key)
         if hit is not None:
@@ -228,7 +219,7 @@ class ReconfigurationController:
         with a fresh ``meta`` per call.
         """
         sub, live = surviving_topology(topology, dead_links, dead_switches)
-        routing, cert_digest = _certified_survivor(self.builder, sub)
+        routing, cert_digest = certified_survivor(self.builder, sub)
         remapped = remap_routing(routing, topology, live)
         remapped.meta["verified"] = True
         remapped.meta["certificate_digest"] = cert_digest

@@ -3,7 +3,7 @@
 The codebase's determinism guarantees — byte-identical reruns under
 fixed seeds, engine-clock-only time, routing tables written exclusively
 by verified builders — were previously enforced by convention.  This
-linter enforces them statically, with seven repo-specific rules:
+linter enforces them statically, with eight repo-specific rules:
 
 ``STA001`` *engine clock only*
     No wall-clock reads (``time.time``, ``time.perf_counter``,
@@ -59,6 +59,14 @@ linter enforces them statically, with seven repo-specific rules:
     import, which resolves inside ``repro``) would let a builder bug
     certify itself.  The standard library and numpy are fine.  (The
     id ``STA007`` is retired and not reused.)
+
+``STA009`` *one store instance per process*
+    No ``ArtifactCache`` is constructed outside
+    :mod:`repro.experiments.artifacts` (whose ``set_process_cache``
+    binds the one instance per store) and
+    :mod:`repro.experiments.parallel` (the stage executors' storeless
+    in-memory cache).  A private instance beside the binding decodes
+    from disk what the bound instance already holds.
 
 Run as ``python -m repro.statics.lint [paths...]`` (defaults to the
 installed ``repro`` package); exits non-zero when violations exist.
@@ -131,6 +139,11 @@ GUARDED_LOADERS: Dict[str, int] = {
 #: modules that must import nothing from ``repro`` (STA008): the
 #: independent checker shares no code with what it checks
 INDEPENDENT_MODULES = frozenset({"repro/statics/check.py"})
+
+#: modules allowed to construct an ``ArtifactCache`` (STA009)
+STORE_CONSTRUCTION_ALLOWED = frozenset(
+    {"repro/experiments/artifacts.py", "repro/experiments/parallel.py"}
+)
 
 _BUILDER_NAME = re.compile(r"^build_\w+_routing$")
 
@@ -404,6 +417,19 @@ def lint_source(
                         f"may use only the standard library and numpy, so a "
                         f"builder bug cannot certify itself",
                     )
+
+    # --- STA009: one store instance per process ------------------------
+    if rel not in STORE_CONSTRUCTION_ALLOWED:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "ArtifactCache" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                add(
+                    node,
+                    "STA009",
+                    "ArtifactCache constructed outside the artifact store and "
+                    "the stage executors — bind the store with set_process_cache()",
+                )
 
     # --- STA004: builders must verify ----------------------------------
     for node in ast.walk(tree):

@@ -11,30 +11,22 @@ independent checker — so a schedule whose induced routing could not be
 certified is rejected before any simulation cycles are burnt, and an
 archival run can store the digest of every table it will ever install.
 
-Rebuild + certification happen once per *distinct survivor topology*,
-not once per induced state: different fault events frequently collapse
-to the same survivors (a switch death implies its incident links), and
-the controller would install byte-identical tables for them.  States
-are deduped by the survivor's content digest, and an
-:class:`~repro.experiments.artifacts.ArtifactCache` can additionally be
-passed so repeated preflights (across runs or schedules) serve the
-certificate bundle content-addressed instead of rebuilding.  The
-independent re-check always runs — cached bytes get the same scrutiny
-as fresh ones.
+Rebuild + certification go through the controller's certify-once path
+(:func:`~repro.faults.controller.certified_survivor`), so they happen
+once per *distinct survivor topology* and builder per process, not once
+per induced state: different fault events frequently collapse to the
+same survivors (a switch death implies its incident links), and the
+live run that follows the sweep installs the tables it certified
+without certifying them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.faults.controller import survivor_digest, surviving_topology
+from repro.faults.controller import certified_survivor, surviving_topology
 from repro.faults.schedule import LINK_DOWN, LINK_UP, FaultSchedule
-from repro.routing.base import RoutingFunction
-from repro.routing.verification import verify_routing
-from repro.statics.certificates import CertificateBundle, certify_routing
-from repro.statics.check import CheckReport, recheck
-from repro.topology.graph import Topology
 
 
 @dataclass(frozen=True)
@@ -58,8 +50,7 @@ class PreflightEntry:
 
     state: FaultState
     routing_name: str
-    bundle: CertificateBundle
-    report: CheckReport
+    certificate_digest: str
 
 
 def induced_fault_states(schedule: FaultSchedule) -> List[FaultState]:
@@ -98,10 +89,7 @@ def induced_fault_states(schedule: FaultSchedule) -> List[FaultState]:
 def preflight_schedule(
     schedule: FaultSchedule,
     builder,
-    strict: bool = True,
     progress: Optional[Callable[[str], None]] = None,
-    cache=None,
-    cache_label: str = "preflight",
 ) -> List[PreflightEntry]:
     """Certify the rebuilt routing for every state *schedule* induces.
 
@@ -109,70 +97,21 @@ def preflight_schedule(
     :class:`~repro.faults.controller.ReconfigurationController` or a
     raw ``builder(sub_topology) -> RoutingFunction`` callable (the same
     signature the controller takes).  Each induced state's survivor
-    topology is extracted, the builder rebuilds routing on it, and the
-    result is certified and independently re-checked.  With *strict*
-    (default) the first failing certificate raises
-    :class:`~repro.statics.check.CertificateError`; otherwise failures
-    are returned in the entries' reports.
-
-    States whose survivor topology is identical (by content digest)
-    share one rebuild + certification: every entry is still returned,
-    carrying the shared bundle.  *cache* optionally names an
-    :class:`~repro.experiments.artifacts.ArtifactCache` (anything with
-    its ``certificate(key, build)`` protocol); bundles are then served
-    content-addressed under ``{survivor digest, cache_label}``.
-    **cache_label must distinguish builders**: two different builders
-    preflighted against the same store with the same label would alias
-    — pass the algorithm name (the certify CLI does).  The independent
-    check runs on served bundles too; only rebuild + certification are
-    skipped.
+    topology is extracted, and the builder's routing on it is built,
+    verified, certified and independently re-checked through the
+    controller's memo; the first failing check raises.  States whose
+    survivor is identical share one certification, and every entry
+    carries its certificate digest — the digest the live run will log
+    when it installs that table.
     """
-    build: Callable[[Topology], RoutingFunction] = getattr(
-        builder, "builder", builder
-    )
+    build = getattr(builder, "builder", builder)
     say = progress or (lambda msg: None)
     entries: List[PreflightEntry] = []
-    certified: Dict[str, Tuple[str, CertificateBundle]] = {}
     for state in induced_fault_states(schedule):
         sub, _live = surviving_topology(
             schedule.topology, state.dead_links, state.dead_switches
         )
-        digest = survivor_digest(sub)
-        hit = certified.get(digest)
-        if hit is None:
-            def _certified_bundle() -> CertificateBundle:
-                routing = verify_routing(build(sub))
-                return certify_routing(routing)
-
-            if cache is not None:
-                bundle = cache.certificate(
-                    {"topology": digest, "algorithm": cache_label,
-                     "purpose": "preflight"},
-                    _certified_bundle,
-                )
-            else:
-                bundle = _certified_bundle()
-            hit = (bundle.algorithm, bundle)
-            certified[digest] = hit
-        else:
-            say(f"[preflight] {state.describe()} -> survivor already certified")
-        routing_name, bundle = hit
-        if strict:
-            report = recheck(bundle)
-        else:
-            from repro.statics.check import check_certificate
-
-            report = check_certificate(bundle)
-        say(
-            f"[preflight] {state.describe()} -> {routing_name} "
-            f"{bundle.digest[:23]} {'ok' if report.ok else 'FAILED'}"
-        )
-        entries.append(
-            PreflightEntry(
-                state=state,
-                routing_name=routing_name,
-                bundle=bundle,
-                report=report,
-            )
-        )
+        routing, digest = certified_survivor(build, sub)
+        say(f"[preflight] {state.describe()} -> {routing.name} {digest[:23]} ok")
+        entries.append(PreflightEntry(state, routing.name, digest))
     return entries

@@ -9,6 +9,7 @@ deliberately tiny and stable::
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Union
@@ -27,6 +28,12 @@ def topology_to_json(topology: Topology) -> str:
         separators=(",", ":"),
         sort_keys=True,
     )
+
+
+def topology_digest(topology: Topology) -> str:
+    """SHA-256 hex of :func:`topology_to_json`: the content key of a
+    topology (artifact-store keys, the fault controller's rebuild memo)."""
+    return hashlib.sha256(topology_to_json(topology).encode("utf-8")).hexdigest()
 
 
 def topology_from_json(text: str) -> Topology:

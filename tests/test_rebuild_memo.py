@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.coordinated_tree import TreeMethod
 from repro.core.downup import build_down_up_routing
-from repro.experiments import harness
+from repro.experiments import artifacts, harness
 from repro.experiments.live_resilience import (
     _SurvivorBuilder,
     run_live_fault_campaign,
@@ -101,6 +101,39 @@ class TestScheduleSharesRebuilds:
         assert swaps == 12
         survivors = sorted(alg for alg, n in built if n < topo32.n)
         assert survivors == ["down-up", "down-up", "l-turn", "l-turn"]
+
+
+class TestOneStoreInstance:
+    def test_repeat_calls_read_nothing_from_disk(
+        self, topo32, memo, monkeypatch, tmp_path
+    ):
+        """Two live-fault calls on one store share the process-bound
+        instance: the second serves each algorithm's tree and routing
+        from its decoded-object LRU."""
+        monkeypatch.setattr(artifacts, "_PROCESS_CACHE", None)
+        schedule = FaultSchedule(
+            topo32, [FaultEvent(cycle=300, kind="link_down", link=topo32.links[0])]
+        )
+        config = SimulationConfig(
+            packet_length=16, injection_rate=0.02, warmup_clocks=200,
+            measure_clocks=300, seed=3,
+        )
+        algorithms = ("l-turn", "down-up")
+
+        def run():
+            run_live_fault_campaign(
+                topo32, schedule, config, algorithms=algorithms, seed=3,
+                artifact_cache=tmp_path / "store",
+            )
+
+        run()
+        cache = artifacts.process_cache()
+        before = cache.counters.as_dict()
+        run()
+        assert artifacts.process_cache() is cache
+        delta = cache.counters.delta_since(before)
+        assert delta["hits"] == 0 and delta["misses"] == 0
+        assert delta["memory_hits"] == 2 * len(algorithms)
 
 
 class TestHitEqualsColdRebuild:

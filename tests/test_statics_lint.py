@@ -324,6 +324,35 @@ class TestSTA008CheckerIndependence:
         assert codes("from repro.statics.check import recheck\n") == []
 
 
+class TestSTA009StoreInstances:
+    ENTRY = "repro/experiments/live_resilience.py"
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "from repro.experiments.artifacts import ArtifactCache\n"
+            "cache = ArtifactCache(path)\n",
+            "from repro.experiments import artifacts\n"
+            "cache = artifacts.ArtifactCache(path, max_memory_entries=0)\n",
+        ],
+    )
+    def test_private_instance_fires(self, src):
+        assert codes(src, module_rel=self.ENTRY) == ["STA009"]
+
+    def test_process_binding_is_fine(self):
+        src = """
+            from repro.experiments.artifacts import set_process_cache
+            cache = set_process_cache(path)
+            """
+        assert codes(src, module_rel=self.ENTRY) == []
+
+    @pytest.mark.parametrize(
+        "module", ["repro/experiments/artifacts.py", "repro/experiments/parallel.py"]
+    )
+    def test_store_and_executors_are_allowed(self, module):
+        assert codes("cache = ArtifactCache(None)\n", module_rel=module) == []
+
+
 class TestMachinery:
     def test_syntax_error_reported_as_sta000(self):
         assert codes("def broken(:\n") == ["STA000"]
