@@ -32,7 +32,11 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.experiments.configs import PRESETS, get_preset
-from repro.simulator.config import BIT_EXACT_ENGINES, ENGINES
+from repro.simulator.config import (
+    BIT_EXACT_ENGINES,
+    ENGINES,
+    require_fault_capable,
+)
 from repro.experiments.figure8 import run_figure8
 from repro.experiments.harness import ALGORITHMS, PAPER_ALGORITHMS, PAPER_METHODS
 from repro.experiments.report import (
@@ -667,10 +671,15 @@ def _cmd_live_faults(args) -> int:
     from repro.faults import FaultSchedule
 
     preset = _scale_preset(args)
+    cfg = preset.sim_config(seed=preset.seed)
+    try:
+        require_fault_capable(cfg.resolved_engine)
+    except ValueError as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return 2
     if args.switches:
         preset = preset.scaled(n_switches=args.switches)
     topology = make_topology(preset, args.ports, sample=0)
-    cfg = preset.sim_config(seed=preset.seed)
     rate = args.rate if args.rate is not None else min(preset.rates_for(args.ports))
     cfg = cfg.with_rate(rate)
     # faults land in the first half of the measurement window so the

@@ -24,7 +24,8 @@ Two layers:
   the artifact changes the key, so a stale preset or code bump can
   never alias a cached entry.  Entries carry a header line with a
   SHA-256 checksum of the payload bytes; publication is
-  write-to-temp-then-``os.replace`` (atomic on POSIX) guarded by a
+  :func:`repro.util.fsio.atomic_write_text` (write-to-temp with a
+  host-qualified name, then ``os.replace``) guarded by a
   non-blocking ``fcntl.flock`` on a per-entry lock file, so a busy lock
   always means another writer is publishing the same digest.  A torn or
   corrupted entry (e.g. left by a SIGKILLed worker) fails its checksum,
@@ -80,6 +81,7 @@ from repro.topology.serialization import (
     topology_from_json,
     topology_to_json,
 )
+from repro.util.fsio import atomic_write_text
 
 #: on-disk entry layout version; mismatched entries are treated as misses
 ARTIFACT_FORMAT = "repro-artifact-v1"
@@ -297,8 +299,10 @@ class ArtifactCache:
     def _publish_to(self, root: Path, digest: str, data: str) -> bool:
         """Atomically publish one entry file into *root*.
 
-        Write-to-temp + ``os.replace``: readers only ever see a complete
-        entry under the final name.  The flock on ``<digest>.lock``
+        Written through :func:`repro.util.fsio.atomic_write_text`:
+        readers only ever see a complete entry under the final name, and
+        its host-qualified temp names cannot collide across hosts
+        sharing the store.  The flock on ``<digest>.lock``
         keeps concurrent pools from duplicating serialization work; a
         busy lock just skips the publish (the artifact was built anyway,
         and whoever holds that entry's lock is publishing identical
@@ -313,12 +317,7 @@ class ArtifactCache:
                 except OSError:
                     self.counters.publish_skipped += 1
                     return False
-            tmp = root / f"tmp-{digest}-{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, root / f"{digest}.json")
+            atomic_write_text(root / f"{digest}.json", data)
             self.counters.bytes_written += len(data)
             return True
         finally:

@@ -29,7 +29,7 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.metrics.degradation import degradation_report
-from repro.simulator.config import SimulationConfig
+from repro.simulator.config import SimulationConfig, require_fault_capable
 from repro.simulator.engine import WormholeSimulator
 from repro.simulator.stats import SimulationStats
 from repro.topology.graph import Topology
@@ -129,7 +129,9 @@ def run_live_fault_campaign(
 
     Raises whatever the engine raises (``DeadlockDetected``,
     ``LivelockSuspected``) — an algorithm that cannot survive the
-    scenario fails loudly rather than producing a quiet bad row.
+    scenario fails loudly rather than producing a quiet bad row.  A
+    *config* on a relaxed engine raises ``ValueError`` before any
+    routing is built: those engines are certified fault-free only.
 
     *artifact_cache* serves the initial (pre-fault) tree/routing builds
     from the content-addressed construction cache, bound to the process
@@ -141,6 +143,7 @@ def run_live_fault_campaign(
     """
     if schedule.topology != topology:
         raise ValueError("fault schedule built for a different topology")
+    require_fault_capable(config.resolved_engine)
     say = progress or (lambda msg: None)
     cache = None
     if artifact_cache is not None:

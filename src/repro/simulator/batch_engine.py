@@ -53,8 +53,7 @@ The batch engine drops bit-level replay and keeps only the *process*:
   credited with the packet's full length when the header is granted
   the resource, not flit by flit as the body streams.  Cumulative
   totals agree with the bit-exact engines up to window-boundary and
-  in-flight-tail effects (and fault-truncated worms, which the exact
-  engines charge partially), so the body phase never touches them.
+  in-flight-tail effects, so the body phase never touches them.
 
 **Contract.**  Results are deterministic per seed (same config, same
 call sequence, same platform numpy), but they are *not* byte-identical
@@ -66,16 +65,16 @@ gate against the bit-exact oracles), and batch results carry a
 ledgers must never mix the two (see
 :func:`repro.experiments.ledger.unit_digest`).
 
-**Epoch contract.**  Flit state lives in an
-:class:`~repro.simulator.vec_state.ArrayState`.  Between external
-mutations the arrays are authoritative for flit counts and the worm
-objects are stale.  Every engine hook that reads or rewrites worm
-state (the fault hooks and the stall/deadlock reports) is wrapped:
-the core first writes the array counts back onto the objects
-(:meth:`BatchCore.sync`), lets the hook run on coherent objects, and a
-mutating hook then marks the arrays dirty, so the next clock begins
-with an atomic :meth:`ArrayState.rebuild` plus a refresh of this
-core's head-tracking arrays.
+**Envelope.**  The engine runs only what the gate certifies: random
+selection among free candidates, fixed-length packets, unbounded
+source queues and no live faults.  :class:`SimulationConfig` refuses
+the other selection policies, ``length_mix`` and ``max_queue``, and
+``attach_faults`` refuses a fault schedule, so nothing outside the
+engine ever rewrites worm state mid-run.  Flit state lives in an
+:class:`~repro.simulator.vec_state.ArrayState` whose arrays are
+authoritative for flit counts; the worm objects' counts are stale
+until :meth:`BatchCore.sync` writes them back, which the stall and
+deadlock reports and the invariant checks do first.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ from repro.util.rng import as_generator, derive_seed
 __all__ = ["BatchCore"]
 
 #: stream-derivation keys: arbitration, per-source arrival gaps, and
-#: packet shaping (destination + length), all split from the config
+#: packet shaping (destination), all split from the config
 #: seed so no stream can alias another or the engine's own ``sim.rng``
 _ARB_KEY = 0xB7C4_A21B
 _GAP_KEY = 0x5EED_6A90
@@ -115,14 +114,7 @@ _GAP_BLOCK = 64
 #: numpy dispatch overhead dominates below this, vector wins above
 _SMALL_ARB = 24
 
-#: engine hooks that read (and may rewrite) per-worm flit state — each
-#: gets a sync-objects-first / mark-dirty-after wrapper
-_SYNC_MUTATING_HOOKS = (
-    "_fault_kill_link",
-    "_fault_kill_switch",
-    "_fault_eject_stranded",
-)
-#: diagnostics that read per-worm flit state but mutate nothing
+#: diagnostics that read per-worm flit state: each syncs the objects first
 _SYNC_READONLY_HOOKS = ("_stall_report", "_deadlock_report")
 
 
@@ -134,9 +126,6 @@ class BatchCore:
         self.state = st = ArrayState(
             sim.topology.num_channels, sim.topology.n, sim.config.buffer_flits
         )
-        #: set by the fault-hook wrappers; triggers an atomic rebuild at
-        #: the start of the next move
-        self._dirty = False
         self._install_hooks(sim)
         # live flit counters are int64 arrays under this engine, as its
         # readers expect (grant commits' single-element += works on
@@ -171,9 +160,8 @@ class BatchCore:
         sink = np.fromiter(sim._sink, np.int64, count=C)
         self._sink_channels = [(sink == d).nonzero()[0] for d in range(n)]
         #: extended occupancy: [0, C) aliases the array state's channel
-        #: mirror (the slice below is a *view*, and ``rebuild`` writes
-        #: in place), [C, C+n) mirrors the consumption ports, [C+n] is
-        #: a permanently-occupied dead slot — one gather answers "is
+        #: mirror (the slice below is a *view*), [C, C+n) mirrors the
+        #: consumption ports, [C+n] is a permanently-occupied dead slot — one gather answers "is
         #: this grant target free" for every request kind at once
         self._occ_ext = np.full(C + n + 1, FREE, dtype=np.int64)
         self._occ_ext[:C] = st.occ
@@ -235,20 +223,11 @@ class BatchCore:
         sim._generate_packets = self._generate_batched
 
     # ------------------------------------------------------------------
-    # epoch contract plumbing
+    # object sync
     # ------------------------------------------------------------------
     def _install_hooks(self, sim) -> None:
-        """Shadow the engine's object-reading hooks with sync wrappers."""
+        """Shadow the engine's object-reading reports with sync wrappers."""
         core = self
-
-        def wrap_mutating(orig):
-            def hook(*args, **kwargs):
-                core.sync()
-                out = orig(*args, **kwargs)
-                core._dirty = True
-                return out
-
-            return hook
 
         def wrap_readonly(orig):
             def hook(*args, **kwargs):
@@ -257,8 +236,6 @@ class BatchCore:
 
             return hook
 
-        for name in _SYNC_MUTATING_HOOKS:
-            setattr(sim, name, wrap_mutating(getattr(sim, name)))
         for name in _SYNC_READONLY_HOOKS:
             setattr(sim, name, wrap_readonly(getattr(sim, name)))
 
@@ -301,37 +278,22 @@ class BatchCore:
         self._gen_ptr = 0
         self._gen_horizon = until
 
-    def _fire_arrival(self, s: int, clock: int, dead_switches) -> None:
+    def _fire_arrival(self, s: int, clock: int) -> None:
         """Fire one precomputed arrival at source *s*.
 
-        Dead-switch and queue-cap checks happen here, at fire time
-        (exactly where the reference applies them), so fault interaction
-        is unchanged; destination and length are drawn from the
-        packet-shaping stream in deterministic fire order.  Shared by
-        the sequential generation loop and the replica driver — per
-        replica, both fire the same events in the same order, so the
-        packet-shaping stream is consumed identically.
+        The destination is drawn from the packet-shaping stream in
+        deterministic fire order.  Shared by the sequential generation
+        loop and the replica driver — per replica, both fire the same
+        events in the same order, so the packet-shaping stream is
+        consumed identically.
         """
         sim = self.sim
-        if s in dead_switches:
-            return  # a failed switch generates nothing
-        cfg = sim.config
-        stats = sim.stats
-        if cfg.max_queue is not None and len(sim.queues[s]) >= cfg.max_queue:
-            stats.on_generate(dropped=True)
-            return
-        rng = self._pkt_rng
-        dst = sim.traffic.destination(s, rng)
-        if dst in dead_switches:
-            stats.on_generate()
-            stats.on_lost()
-            return
-        length = cfg.sample_length(rng)
-        w = Worm(sim._next_pid, s, dst, length, clock)
+        dst = sim.traffic.destination(s, self._pkt_rng)
+        w = Worm(sim._next_pid, s, dst, sim.config.packet_length, clock)
         sim._next_pid += 1
         sim.worms[w.pid] = w
         sim.queues[s].append(w)
-        stats.on_generate()
+        sim.stats.on_generate()
         if sim.tracer is not None:
             sim.tracer.record(clock, "gen", w.pid, w.src, w.dst)
 
@@ -353,11 +315,8 @@ class BatchCore:
             return
         srcs = self._gen_srcs
         fire = self._fire_arrival
-        dead_switches = (
-            sim.faults.dead_switches if sim.faults is not None else ()
-        )
         while ptr < len(clks) and clks[ptr] <= clock:
-            fire(srcs[ptr], clock, dead_switches)
+            fire(srcs[ptr], clock)
             ptr += 1
         self._gen_ptr = ptr
 
@@ -393,8 +352,8 @@ class BatchCore:
     def _set_head_target(self, c: int, d: int) -> None:
         """Classify the header now parked on channel *c* toward *d*.
 
-        Called at every head movement (inject/hop commit, rebuild
-        refresh, epoch change) — the request phase then never has to
+        Called at every head movement (inject/hop commit, epoch
+        change) — the request phase then never has to
         classify anything.
         """
         if not self._cand_built[d]:
@@ -461,13 +420,8 @@ class BatchCore:
         return n_moves > 0 or granted
 
     def _prepare_clock(self) -> None:
-        """Rebuild dirty state and refresh candidate rows if needed."""
-        sim = self.sim
-        if self._dirty:
-            self.state.rebuild(sim)
-            self._refresh_after_rebuild()
-            self._dirty = False
-        if sim.decision_cache.epoch != self._cand_epoch:
+        """Refresh the candidate rows if the decision epoch moved."""
+        if self.sim.decision_cache.epoch != self._cand_epoch:
             self._on_epoch_change()
 
     def _body_phase(self) -> Tuple[int, List[int], List[int]]:
@@ -659,9 +613,9 @@ class BatchCore:
                     self._inj_cached.discard(s)
                     q = queues[s]
                     if not q:
-                        # queue emptied externally (fault retry
-                        # pull, test teardown): drop the stale
-                        # cached request instead of injecting
+                        # queue emptied from outside the engine
+                        # (test teardown): drop the stale cached
+                        # request instead of injecting
                         continue
                     w = q[0]
                     grants.append((w, -1, t))
@@ -788,17 +742,8 @@ class BatchCore:
                 chain.pop()
                 occ[c] = FREE
                 released.append(c)
-                # cascaded releases (several chain channels empty at
-                # once) only arise from fault truncation; the steady
-                # state pops exactly the tail
-                while (
-                    chain
-                    and f[chain[-1]] == 0
-                    and not (len(chain) == 1 and not w.consuming)
-                ):
-                    cid = chain.pop()
-                    occ[cid] = FREE
-                    released.append(cid)
+                # the new tail just received the old tail's last flit:
+                # without fault truncation, exactly one channel releases
                 if w.consuming and not chain:
                     w.t_done = clock
                     w.consumed = w.length
@@ -828,16 +773,11 @@ class BatchCore:
             active = sim.active
             done_ids = {w.pid for w in finished}
             for w in finished:
-                if w.corrupted:
-                    stats.on_corrupted()
-                    if sim.faults is not None:
-                        sim.faults.on_packet_failure(sim, w)
-                else:
-                    stats.on_delivered(
-                        latency=w.t_done - w.t_gen,
-                        header_latency=(w.t_head_arrival or clock) - w.t_gen,
-                        hops=w.hops,
-                    )
+                stats.on_delivered(
+                    latency=w.t_done - w.t_gen,
+                    header_latency=(w.t_head_arrival or clock) - w.t_gen,
+                    hops=w.hops,
+                )
                 if tracer is not None:
                     tracer.record(clock, "done", w.pid, w.src, w.dst)
             sim.active = [w for w in active if w.pid not in done_ids]
@@ -897,8 +837,8 @@ class BatchCore:
     def _invalidate_inj_cache(self) -> None:
         """Epoch change: drop every cached injection request.
 
-        Callers that can leave stale *subscriptions* behind (epoch
-        change, rebuild) clear ``_subs`` themselves before calling.
+        The epoch change, which can leave stale *subscriptions*
+        behind, clears ``_subs`` itself before calling.
         """
         wheel = self.sim._wheel
         for s in self._inj_cached:
@@ -1029,71 +969,11 @@ class BatchCore:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _refresh_after_rebuild(self) -> None:
-        """Re-derive the head-tracking arrays after an array rebuild.
-
-        The rebuild reconstructs flit counts and downstream links from
-        the worm objects; the head-tracking arrays are this core's own
-        and must follow — a fault hook may have truncated or re-headed
-        chains arbitrarily, killed channels (bumping the decision
-        epoch) or rewritten consume ports.
-        """
-        sim = self.sim
-        cache = sim.decision_cache
-        self._cand_built[:] = False
-        self._cand_epoch = cache.epoch
-        ready_at = self._ready_at
-        ready_at[:] = _BIG
-        self._subs.clear()
-        C = self._C
-        n = self.state.S
-        self._occ_ext[C : C + n] = np.fromiter(
-            sim.consume_occ, np.int64, count=n
-        )
-        self._multi_heads.clear()
-        self._mh_info.clear()
-        self._mh_dirty = True
-        for w in sim.active:
-            if w.chain and not w.consuming:
-                h = w.chain[0]
-                ready_at[h] = w.head_ready_at
-                self._set_head_target(h, w.dst)
-        # the rebuild rewrote the flit array wholesale: restart the
-        # body-phase active set from the live slots
-        self._act = (self.state.flits > 0).nonzero()[0]
-        self._act_add.clear()
-        self._act_filter = False
-        # fault hooks may retry/retarget queued worms: rebuild the
-        # injection cache from scratch rather than trusting it
-        self._invalidate_inj_cache()
-
     def _pick(self, avail: List[int]) -> int:
-        """Selection policy over free candidates, on the batch stream.
+        """Random selection among free candidates, on the batch stream.
 
-        Mirrors the engine's ``_select`` but draws from the dedicated
-        arbitration stream — the batch engine never touches ``sim.rng``,
-        keeping the shared stream untouched for any code that compares
-        draw counts across engines.
+        Draws from the dedicated arbitration stream — the batch engine
+        never touches ``sim.rng``, keeping the shared stream untouched
+        for any code that compares draw counts across engines.
         """
-        policy = self.sim.config.selection_policy
-        if policy == "first":
-            return min(avail)
-        if policy == "least-congested":
-            sim = self.sim
-            occ = sim.channel_occ
-            topo = sim.topology
-            sink = sim._sink
-
-            def busy(c: int) -> int:
-                return sum(
-                    1
-                    for o in topo.output_channels(sink[c])
-                    if occ[o] != FREE
-                )
-
-            scores = [busy(c) for c in avail]
-            best = min(scores)
-            avail = [c for c, s_ in zip(avail, scores) if s_ == best]
-            if len(avail) == 1:
-                return avail[0]
         return avail[int(self._arb_rng.integers(len(avail)))]

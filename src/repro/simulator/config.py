@@ -23,6 +23,20 @@ RELAXED_ENGINES = ("batch",)
 ENGINES = BIT_EXACT_ENGINES + RELAXED_ENGINES
 
 
+def require_fault_capable(engine: str) -> None:
+    """Raise ``ValueError`` if *engine* may not run a live fault schedule.
+
+    The relaxed engines are certified fault-free only, so fault
+    schedules run on the bit-exact engines alone.
+    """
+    if engine in RELAXED_ENGINES:
+        raise ValueError(
+            f"engine {engine!r} is certified only without faults; run "
+            f"fault schedules on one of the bit-exact engines "
+            f"{BIT_EXACT_ENGINES}"
+        )
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Parameters of one wormhole simulation run.
@@ -66,19 +80,23 @@ class SimulationConfig:
     max_queue:
         Optional cap on per-node injection queues (``None`` =
         unbounded); when capped, generation at a full queue is dropped
-        and counted, modelling a finite-source experiment.
+        and counted, modelling a finite-source experiment.  Bit-exact
+        engines only.
     selection_policy:
         How a header picks among several *free* admissible candidates:
         ``"random"`` (the paper: "one of them is selected randomly"),
         ``"first"`` (deterministic: lowest channel id), or
         ``"least-congested"`` (emptiest downstream buffer, ties random)
-        — a common router heuristic, exposed for ablation.
+        — a common router heuristic, exposed for ablation.  The
+        bit-exact engines run all three; ``engine="batch"`` only
+        ``"random"``.
     length_mix:
         Optional bimodal/multimodal packet-length distribution: a tuple
         of ``(length, weight)`` pairs sampled per packet.  ``None``
         (default) uses the fixed *packet_length*.  The offered load in
         flits/clock/node is preserved: the per-clock generation
-        probability uses the *mean* length of the mix.
+        probability uses the *mean* length of the mix.  Bit-exact
+        engines only.
     engine:
         The step implementation, and the only engine selector:
         ``"reference"`` (the seed golden model), ``"fast"`` (active-set
@@ -92,9 +110,14 @@ class SimulationConfig:
         its aggregate distributions are certified against the bit-exact
         oracles by :mod:`repro.simulator.equivalence`, and its results
         carry a ``statistical_fingerprint`` instead of a canonical
-        digest.  The VC engine runs only the bit-exact engines (its
-        body commits are RNG-ordered under shared link budgets) and
-        refuses ``"batch"``.
+        digest.  ``"batch"`` runs only inside the envelope that
+        certification covers — random selection, fixed-length packets,
+        unbounded source queues and no live faults — and refuses
+        everything else (a ``selection_policy`` other than
+        ``"random"``, a ``length_mix`` or a ``max_queue`` here, a fault
+        schedule at ``attach_faults``).  The VC engine runs only the
+        bit-exact engines (its body commits are RNG-ordered under
+        shared link budgets) and refuses ``"batch"``.
     """
 
     packet_length: int = 128
@@ -146,6 +169,23 @@ class SimulationConfig:
             )
         if self.replicas is not None and self.replicas < 1:
             raise ValueError("replicas must be >= 1 (or None)")
+        if self.engine in RELAXED_ENGINES:
+            uncertified = [
+                name
+                for name, off in (
+                    ("selection_policy", self.selection_policy != "random"),
+                    ("length_mix", self.length_mix is not None),
+                    ("max_queue", self.max_queue is not None),
+                )
+                if off
+            ]
+            if uncertified:
+                raise ValueError(
+                    f"engine {self.engine!r} is certified only for random "
+                    "selection, fixed-length packets and unbounded queues; "
+                    f"run {', '.join(uncertified)} on one of the bit-exact "
+                    f"engines {BIT_EXACT_ENGINES}"
+                )
         if self.length_mix is not None:
             mix = tuple(self.length_mix)
             if not mix:

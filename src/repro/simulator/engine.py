@@ -42,7 +42,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.routing.base import RoutingFunction
-from repro.simulator.config import SimulationConfig
+from repro.simulator.config import SimulationConfig, require_fault_capable
 from repro.simulator.fastpath import (
     DecisionCache,
     InjectionWheel,
@@ -222,8 +222,11 @@ class SimulatorCore:
         The runtime is stepped at the start of every clock: it fires
         scheduled faults (killing channels, dropping/truncating the
         worms crossing them), re-injects retried packets, and swaps
-        routing tables after each drain window.
+        routing tables after each drain window.  Only the bit-exact
+        engines run fault schedules: the relaxed engine is certified
+        fault-free and refuses them.
         """
+        require_fault_capable(self.engine_name)
         if runtime.schedule.topology != self.topology:
             raise ValueError("fault schedule built for a different topology")
         self.faults = runtime

@@ -55,9 +55,10 @@ ordering (arbitration requests, traffic firing, drains) is preserved by
 construction.  The test suite asserts this per seed across the traffic
 matrix, and the committed benchmark re-asserts it on every run.
 
-**Unsupported in replica mode** (use sequential runs): live fault
-schedules, tracers, and mid-run external mutation of worm/occupancy
-state (anything that would mark a core dirty).
+**Unsupported in replica mode** (use sequential runs): tracers, and
+mid-run mutation of worm or occupancy state from outside the engine.
+Live fault schedules run on neither path: ``attach_faults`` refuses
+``engine="batch"``.
 """
 
 from __future__ import annotations
@@ -141,11 +142,6 @@ class ReplicaBatchCore:
                     "replica batching requires engine='batch' simulators "
                     f"(got {sim.engine_name!r})"
                 )
-            if sim.faults is not None:
-                raise ValueError(
-                    "live fault schedules are unsupported in replica mode; "
-                    "run fault scenarios sequentially"
-                )
             if sim.tracer is not None:
                 raise ValueError("tracers are unsupported in replica mode")
             if sim.clock != 0:
@@ -170,7 +166,7 @@ class ReplicaBatchCore:
 
         # build candidate tables once up front (no faults -> the
         # decision epoch never changes mid-run, so the per-clock
-        # epoch/dirty checks of the sequential path are not needed)
+        # epoch check of the sequential path is not needed)
         for core in self.cores:
             core._prepare_clock()
 
@@ -552,19 +548,14 @@ class ReplicaBatchCore:
             fires = self._fires
             while ptr < len(clks) and clks[ptr] <= clock:
                 rep = reps[ptr]
-                fires[rep](srcs[ptr], clock, ())
+                fires[rep](srcs[ptr], clock)
                 attn.add(rep)  # the queue append woke the wheel
                 ptr += 1
             self._mg_ptr = ptr
 
-        # -- dirty guard / invariants (tests, never the hot path) --------
+        # -- invariants (tests, never the hot path) ---------------------
         if self._any_checks:
             for sim, core in self._pairs:
-                if core._dirty:
-                    raise RuntimeError(
-                        "external worm/occupancy mutation mid-run is "
-                        "unsupported in replica mode"
-                    )
                 if sim._check_invariants:
                     sim.clock = clock
                     core.sync()

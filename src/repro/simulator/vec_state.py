@@ -46,14 +46,13 @@ source slot feeds only its worm's tail, and at most one worm consumes
 per switch — so plain fancy-indexed ``+= 1`` is exact, with no
 ``np.add.at`` needed.
 
-The arrays are *authoritative for flit counts* between rebuilds; worm
-objects keep identity state (chain membership, timestamps, consuming)
-maintained at the scalar grant/release paths.  :meth:`ArrayState.sync_worms`
-writes counts back onto the objects (before fault hooks, invariant
-checks and reports), and :meth:`ArrayState.rebuild` reconstructs every
-array from the objects — the atomic epoch-invalidation contract after
-a fault hook mutates worm state, mirroring the decision cache's epoch
-semantics.
+The arrays are *authoritative for flit counts*; worm objects keep
+identity state (chain membership, timestamps, consuming) maintained at
+the scalar grant/release paths.  :meth:`ArrayState.sync_worms` writes
+counts back onto the objects (before invariant checks and reports).
+Nothing rewrites worm state from outside the engine — the batch engine
+refuses live faults — so the arrays never need rebuilding from the
+objects.
 """
 
 from __future__ import annotations
@@ -94,48 +93,13 @@ class ArrayState:
         self.occ = np.full(C, FREE, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    def rebuild(self, sim) -> None:
-        """Reconstruct every array from the Worm objects (epoch swap).
-
-        Called after any external mutation of worm/occupancy state (a
-        fault hook dropping or truncating worms); the worm objects must
-        be coherent first — the batch engine syncs them before
-        running the hook, and the hook's own edits are by construction
-        object-level.  One atomic rebuild replaces any incremental
-        patching, so no array entry can ever mix pre- and post-event
-        state.
-        """
-        f = self.flits
-        dn = self.dn
-        f[:] = 0
-        dn[:] = self.D
-        self.occ[:] = np.asarray(sim.channel_occ, dtype=np.int64)
-        SRC0, SINK0, D = self.SRC0, self.SINK0, self.D
-        inj = sim.injection_occ
-        for w in sim.active:
-            ch = w.chain
-            if not ch:
-                continue
-            cf = w.chain_flits
-            for i, c in enumerate(ch):
-                f[c] = cf[i]
-                if i:
-                    dn[c] = ch[i - 1]
-                else:
-                    dn[c] = SINK0 + w.dst if w.consuming else D
-            if inj[w.src] == w.pid and w.flits_at_source > 0:
-                s = SRC0 + w.src
-                f[s] = w.flits_at_source
-                dn[s] = ch[-1]
-        self.cap_dn[:] = self.cap_at[dn]
-
     def sync_worms(self, sim) -> None:
         """Write the array flit counts back onto the Worm objects.
 
         Restores the scalar engines' object contract (``chain_flits``,
-        ``flits_at_source``, ``consumed``) so fault hooks, invariant
-        checks and diagnostic reports can read worm state exactly as
-        they do under the scalar engines.
+        ``flits_at_source``, ``consumed``) so invariant checks and
+        diagnostic reports can read worm state exactly as they do
+        under the scalar engines.
         """
         f = self.flits
         SRC0 = self.SRC0
@@ -159,10 +123,9 @@ def stack_states(states):
     ``flits`` / ``dn`` / ``cap_at`` / ``cap_dn``, copies the current
     per-replica contents in, and rebinds each state's attributes to its
     *row view* of the stack.  Because the rows are views, all existing
-    scalar code paths (grant commits, drains, :meth:`ArrayState.rebuild`,
-    which writes in place) keep working unchanged on the shared memory,
-    while the replica driver sweeps all rows at once through the flat
-    ``.reshape(-1)`` aliases.
+    scalar code paths (grant commits, drains) keep working unchanged on
+    the shared memory, while the replica driver sweeps all rows at once
+    through the flat ``.reshape(-1)`` aliases.
 
     ``occ`` is *not* stacked: the batch core rebinds it as a view of
     its own extended-occupancy array, which stays per replica.

@@ -39,7 +39,10 @@ transcription error warns about.  This package closes the loop with the
     An AST-based invariant linter with repo-specific rules (engine
     clock only, RNG through :mod:`repro.util.rng`, routing tables
     written only by builders, builders wrapped in ``verify_routing``),
-    run in CI as the ``static-analysis`` job.
+    run in CI as the ``static-analysis`` job.  Import it as
+    :mod:`repro.statics.lint`; the package does not load it, so
+    ``python -m repro.statics.lint`` runs without runpy's
+    already-imported warning.
 """
 
 from repro.statics.certificates import (
@@ -80,11 +83,6 @@ from repro.statics.preflight import (
     induced_fault_states,
     preflight_schedule,
 )
-from repro.statics.lint import (
-    Violation,
-    lint_file,
-    lint_paths,
-)
 
 __all__ = [
     "CERT_FORMAT",
@@ -115,7 +113,4 @@ __all__ = [
     "PreflightEntry",
     "induced_fault_states",
     "preflight_schedule",
-    "Violation",
-    "lint_file",
-    "lint_paths",
 ]

@@ -37,6 +37,7 @@ import numpy as np
 from repro.routing.base import RoutingFunction
 from repro.routing.channel_graph import dependency_adjacency
 from repro.routing.verification import VerificationError
+from repro.statics.existence import _kahn_order
 
 CERT_FORMAT = "repro-cert-v1"
 
@@ -211,25 +212,6 @@ class CertificateBundle:
         return cls.from_payload(json.loads(text))
 
 
-def _topological_order(adj: List[List[int]]) -> Optional[List[int]]:
-    """Kahn's algorithm; ``None`` when the graph is cyclic."""
-    n = len(adj)
-    indeg = [0] * n
-    for outs in adj:
-        for b in outs:
-            indeg[b] += 1
-    ready = [v for v in range(n) if indeg[v] == 0]
-    order: List[int] = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for b in adj[v]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                ready.append(b)
-    return order if len(order) == n else None
-
-
 def _witness_suffix(
     routing: RoutingFunction,
     dest: int,
@@ -283,7 +265,7 @@ def certify_routing(
     tm = routing.turn_model
     topo = tm.topology
     adj = dependency_adjacency(tm)
-    order = _topological_order(adj)
+    order = _kahn_order(adj)
     if order is None:
         raise VerificationError(
             f"{routing.name}: cannot certify deadlock freedom — channel "

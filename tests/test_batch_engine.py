@@ -17,22 +17,35 @@ arbitration — so these tests pin what its contract actually promises:
   never be confused with) ``canonical_digest``, ledger unit digests
   become engine-variant for batch units, and ``run_unit`` takes the
   engine from the preset alone;
-* **epoch contract**: the array state is always reconstructible from
-  the worm objects — a sync/rebuild round trip at any mid-run clock,
-  even over clobbered arrays, leaves the result unchanged;
+* **certified envelope**: the engine refuses every input the
+  equivalence gate never certified — a selection policy other than
+  ``random``, a ``length_mix``, a ``max_queue`` and live fault schedules
+  — while the bit-exact engines accept all of them;
+* **object sync**: writing the array counts back onto the worm objects
+  mid-run restores their flit accounting and leaves the arrays as
+  they were;
 * **telemetry exclusion**: the ``vec_*`` / ``sched_*`` counters are
   observability, not physics — neither digest reads them.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from repro.core.downup import build_down_up_routing
+from repro.experiments import live_resilience
+from repro.experiments.__main__ import main
 from repro.experiments.configs import get_preset
 from repro.experiments.ledger import unit_digest
 from repro.experiments.parallel import WorkUnit, run_unit
+from repro.faults import (
+    FaultRuntime,
+    FaultSchedule,
+    ReconfigurationController,
+    RetryPolicy,
+)
 from repro.simulator import SimulationConfig, WormholeSimulator
 from repro.simulator.config import BIT_EXACT_ENGINES, RELAXED_ENGINES
 from repro.topology.generator import random_irregular_topology
@@ -212,7 +225,7 @@ class TestIdentityPlumbing:
 
 class TestEngineHooks:
     def test_mid_run_sync_roundtrip(self, net):
-        """sync -> rebuild -> refresh mid-run is a physics no-op."""
+        """sync mid-run restores the objects and leaves the arrays be."""
         _topo, routing = net
         cfg = _cfg()
         sim = WormholeSimulator(routing, cfg)
@@ -221,19 +234,17 @@ class TestEngineHooks:
             sim.step()
             sim.stats.window_clocks += 1
         core = sim._vec
+        st = core.state
+        flits = st.flits.copy()
+        occ = st.occ.copy()
         core.sync()
         for w in sim.active:
             assert (
                 w.consumed + w.flits_at_source + sum(w.chain_flits)
                 == w.length
             )
-        st = core.state
-        flits = st.flits.copy()
-        occ = st.occ.copy()
-        st.rebuild(sim)
-        core._refresh_after_rebuild()
+        assert np.array_equal(st.flits, flits)
         assert np.array_equal(st.occ, occ)
-        assert np.array_equal(st.flits[: st.SINK0], flits[: st.SINK0])
         while sim.clock < cfg.total_clocks:
             sim.step()
             sim.stats.window_clocks += 1
@@ -241,36 +252,100 @@ class TestEngineHooks:
         assert stats.delivered_packets > 0
 
     def test_selection_policies_run(self, net):
+        """Only random selection is certified on batch; the bit-exact
+        engines run every policy."""
         _topo, routing = net
-        for policy in ("random", "first", "least-congested"):
-            stats = _run(routing, _cfg(selection_policy=policy))
+        for policy in ("first", "least-congested"):
+            _assert_refused(selection_policy=policy)
+            stats = _run(routing, _cfg(selection_policy=policy, engine="fast"))
             assert stats.delivered_packets > 0
 
     def test_length_mix_runs(self, net):
         _topo, routing = net
-        stats = _run(routing, _cfg(length_mix=((4, 1.0), (16, 1.0))))
+        mix = ((4, 1.0), (16, 1.0))
+        _assert_refused(length_mix=mix)
+        stats = _run(routing, _cfg(length_mix=mix, engine="fast"))
         assert stats.delivered_packets > 0
         assert stats.consumed_flits.sum() > 0
 
     def test_max_queue_cap_drops(self, net):
         _topo, routing = net
-        stats = _run(routing, _cfg(injection_rate=0.9, max_queue=1))
+        _assert_refused(max_queue=1)
+        stats = _run(
+            routing, _cfg(injection_rate=0.9, max_queue=1, engine="fast")
+        )
         assert stats.dropped_packets > 0
 
 
+def _assert_refused(**overrides):
+    """*overrides* raise at config construction under ``engine="batch"``,
+    naming the uncertified field and the bit-exact engines."""
+    with pytest.raises(ValueError) as exc:
+        _cfg(**overrides)
+    msg = str(exc.value)
+    assert str(BIT_EXACT_ENGINES) in msg
+    for field in overrides:
+        assert field in msg
+    for engine in BIT_EXACT_ENGINES:
+        _cfg(engine=engine, **overrides)
+
+
+class TestCertifiedEnvelope:
+    """Live faults are outside the batch engine's certified envelope."""
+
+    @staticmethod
+    def _schedule(topo):
+        return FaultSchedule.random(
+            topo, permanent_links=1, window=(50, 150), rng=3
+        )
+
+    @staticmethod
+    def _runtime(schedule):
+        ctrl = ReconfigurationController(
+            lambda sub: build_down_up_routing(sub, rng=7), drain_clocks=16
+        )
+        return FaultRuntime(schedule, ctrl, retry=RetryPolicy())
+
+    def test_attach_faults_refuses_batch(self, net):
+        topo, routing = net
+        schedule = self._schedule(topo)
+        sim = WormholeSimulator(routing, _cfg())
+        with pytest.raises(ValueError, match=re.escape(str(BIT_EXACT_ENGINES))):
+            sim.attach_faults(self._runtime(schedule))
+        assert sim.faults is None
+        for engine in BIT_EXACT_ENGINES:
+            sim = WormholeSimulator(routing, _cfg(engine=engine))
+            runtime = self._runtime(schedule)
+            sim.attach_faults(runtime)
+            assert sim.faults is runtime
+
+    def test_live_fault_campaign_refuses_before_building(
+        self, net, monkeypatch
+    ):
+        def no_build(*_args, **_kwargs):
+            raise AssertionError("a routing was built for a refused config")
+
+        monkeypatch.setattr(live_resilience, "_SurvivorBuilder", no_build)
+        monkeypatch.setattr(live_resilience, "_cached_initial_build", no_build)
+        topo, _routing = net
+        with pytest.raises(ValueError, match=re.escape(str(BIT_EXACT_ENGINES))):
+            live_resilience.run_live_fault_campaign(
+                topo, self._schedule(topo), _cfg()
+            )
+
+    def test_cli_live_faults_batch_exits_2(self, capsys):
+        code = main(
+            ["live-faults", "--preset", "tiny", "--engine", "batch", "--quiet"]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("ERROR: ") and str(BIT_EXACT_ENGINES) in err
+
+
 class TestEpochContract:
-    """Array state must always be reconstructible from the worm objects."""
-
-    @staticmethod
-    def _undisturbed(routing, cfg):
-        return _run(routing, cfg).statistical_fingerprint()
-
-    @staticmethod
-    def _finish(sim, cfg):
-        while sim.clock < cfg.total_clocks:
-            sim.step()
-            sim.stats.window_clocks += 1
-        return sim.stats.finalize(sum(len(q) for q in sim.queues))
+    """The worm objects can always be made coherent with the arrays."""
 
     @staticmethod
     def _loaded_sim(routing, cfg, clocks):
@@ -282,30 +357,6 @@ class TestEpochContract:
         assert sim.active, "scenario went idle — raise the load"
         return sim
 
-    def test_sync_rebuild_roundtrip_mid_run(self, net):
-        """Rebuilding from the synced objects reproduces the live
-        arrays — over the physics-bearing entries: sink slots are
-        free-running consumption counters nothing reads back, and
-        ``dn`` is only defined while a channel holds flits — and the
-        run finishes exactly as an undisturbed one."""
-        _topo, routing = net
-        cfg = _cfg(warmup_clocks=0)
-        sim = self._loaded_sim(routing, cfg, 300)
-        core = sim._vec
-        st = core.state
-        core.sync()
-        flits = st.flits.copy()
-        dn = st.dn.copy()
-        occ = st.occ.copy()
-        st.rebuild(sim)
-        assert np.array_equal(st.flits[: st.SINK0], flits[: st.SINK0])
-        assert np.array_equal(st.occ, occ)
-        held = flits[: st.SINK0] > 0
-        assert np.array_equal(st.dn[: st.SINK0][held], dn[: st.SINK0][held])
-        assert np.array_equal(st.cap_dn, st.cap_at[st.dn])
-        stats = self._finish(sim, cfg)
-        assert stats.statistical_fingerprint() == self._undisturbed(routing, cfg)
-
     def test_sync_restores_worm_flit_accounting(self, net):
         _topo, routing = net
         sim = self._loaded_sim(routing, _cfg(warmup_clocks=0), 300)
@@ -315,27 +366,6 @@ class TestEpochContract:
             assert w.flits_at_source >= 0
             assert all(f >= 0 for f in w.chain_flits)
             assert w.consumed + w.flits_at_source + sum(w.chain_flits) == w.length
-
-    def test_dirty_rebuild_recovers_from_clobbered_arrays(self, net):
-        """An atomic rebuild restores *everything* from the objects:
-        clobbering every array mid-run must leave the remaining
-        simulation identical to an undisturbed run."""
-        _topo, routing = net
-        cfg = _cfg(warmup_clocks=0)
-        sim = WormholeSimulator(routing, cfg)
-        sim.stats.active = True  # zero warmup: replicate run()'s driver
-        for k in (150, 300, 450):
-            while sim.clock < k:
-                sim.step()
-                sim.stats.window_clocks += 1
-            core = sim._vec
-            core.sync()  # objects coherent, then scribble on the arrays
-            core.state.flits[:] = 0
-            core.state.dn[:] = core.state.D
-            core.state.occ[:] = -1
-            core.state.rebuild(sim)
-        stats = self._finish(sim, cfg)
-        assert stats.statistical_fingerprint() == self._undisturbed(routing, cfg)
 
     def test_finalized_snapshot_is_frozen(self, net):
         """``finalize`` copies the live int64 counters: a finalized
