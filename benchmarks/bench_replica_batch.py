@@ -53,14 +53,13 @@ def _config(rate: float, pl: int, clocks: int) -> SimulationConfig:
         measure_clocks=clocks,
         seed=42,
         engine="batch",
-        replicas=REPLICAS,
     )
 
 
 def measure(routing, rate: float, pl: int, clocks: int, pairs: int) -> dict:
     """Median speedup of one fused run over R sequential ones for one cell."""
     cfg = _config(rate, pl, clocks)
-    seeds = replica_seeds(cfg)
+    seeds = replica_seeds(cfg, REPLICAS)
 
     def sequential():
         return [WormholeSimulator(routing, cfg.with_seed(s)).run() for s in seeds]
@@ -77,7 +76,7 @@ def measure(routing, rate: float, pl: int, clocks: int, pairs: int) -> dict:
     summary, _, _ = gate.paired(
         pairs,
         lambda: gate.cpu_time(sequential),
-        lambda: gate.cpu_time(run_replicated, routing, cfg),
+        lambda: gate.cpu_time(run_replicated, routing, cfg, seeds),
         packing_invariant,
     )
     return {"rate": rate, "packet_length": pl, "replicas": REPLICAS, **summary,

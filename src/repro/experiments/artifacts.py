@@ -186,10 +186,6 @@ class CacheCounters:
     def delta_since(self, other: Dict[str, int]) -> Dict[str, int]:
         return {f: getattr(self, f) - other.get(f, 0) for f in _COUNTER_FIELDS}
 
-    @property
-    def total_hits(self) -> int:
-        return self.hits + self.memory_hits
-
 
 class ArtifactCache:
     """Process-safe, content-addressed construction cache.

@@ -483,7 +483,6 @@ def run_parallel(
     clock: Optional[Clock] = None,
     failures: Optional[List[UnitFailure]] = None,
     cache_path: Optional[Union[str, Path]] = None,
-    shared_cache_path: Optional[Union[str, Path]] = None,
     unit_timeout: Optional[float] = None,
 ) -> List[Dict[str, object]]:
     """Run *units*; results are returned in input order.
@@ -509,9 +508,6 @@ def run_parallel(
     it race-free (atomic publication, checksum-verified reads).
     Without it each executing process shares constructions in memory
     only, so a routing is still built once per process, not per unit.
-    *shared_cache_path* adds the optional multi-host read-through tier
-    behind the local store (entries are checksum-verified on import, so
-    a corrupted peer cannot poison this host's results).
 
     *unit_timeout* is the per-unit wall-time watchdog: a unit that
     exceeds it raises :class:`UnitTimeout` inside its worker (SIGALRM)
@@ -632,11 +628,10 @@ def run_parallel(
         )
 
     cache_arg = None if cache_path is None else str(cache_path)
-    shared_arg = None if shared_cache_path is None else str(shared_cache_path)
 
     if max_workers <= 1 or len(tasks) <= 1:
         # this process is the worker; the caller's binding comes back after
-        previous_cache = _worker_init(cache_arg, shared_arg)
+        previous_cache = _worker_init(cache_arg)
         try:
             for task in tasks:
                 attempt = 1
@@ -707,7 +702,7 @@ def run_parallel(
                 pool = ProcessPoolExecutor(
                     max_workers=max_workers,
                     initializer=_worker_init,
-                    initargs=(cache_arg, shared_arg),
+                    initargs=(cache_arg,),
                 )
             broken = False
             # throttle submission to the pool width: a queued-but-not-

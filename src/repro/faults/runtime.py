@@ -138,11 +138,6 @@ class FaultRuntime:
         self._retry_seq = 0
 
     # ------------------------------------------------------------------
-    @property
-    def pending_retries(self) -> int:
-        """Packets currently waiting out a retry backoff."""
-        return len(self._retry_heap)
-
     def on_clock(self, engine) -> None:
         """Advance the fault machinery by one clock (engine hook)."""
         clock = engine.clock

@@ -34,10 +34,6 @@ class RatePoint:
     latency: float
     stats: SimulationStats
 
-    def as_row(self) -> tuple:
-        """(offered, accepted, latency) for tables/CSV."""
-        return (self.offered, self.accepted, self.latency)
-
 
 def sweep_injection_rates(
     routing: RoutingFunction,

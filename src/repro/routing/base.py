@@ -174,17 +174,6 @@ class TurnModel:
     # introspection (consumed by the turn-optimality auditor in
     # repro.statics.audit and by reporting code; none of these mutate)
     # ------------------------------------------------------------------
-    def prohibited_class_turns(self) -> List[Tuple[int, int]]:
-        """Class pairs the *base* matrix prohibits, sorted.
-
-        These are the prohibited-turn set PT at class granularity —
-        per-switch overrides and channel-pair releases are deliberately
-        not folded in (they are *local* relaxations; see
-        :meth:`released_turns` / :meth:`released_channel_pairs`).
-        """
-        out = np.argwhere(~self._base)
-        return [(int(i), int(j)) for i, j in out]
-
     def realized_class_turns(self) -> set:
         """Class pairs realized by at least one channel pair somewhere.
 
@@ -205,46 +194,6 @@ class TurnModel:
                     if b != (a ^ 1):
                         realized.add((int(cls[a]), int(cls[b])))
         return realized
-
-    def allowed_channel_pairs(self) -> List[Tuple[int, int]]:
-        """Every admissible (cid_in, cid_out) pair, sorted.
-
-        The edge list of the full allowed-turn dependency digraph this
-        model induces — the object whose acyclicity Theorem 1 certifies.
-        """
-        topo = self.topology
-        pairs: List[Tuple[int, int]] = []
-        for v in range(topo.n):
-            for a in topo.input_channels(v):
-                for b in topo.output_channels(v):
-                    if self.is_turn_allowed(v, a, b):
-                        pairs.append((a, b))
-        return sorted(pairs)
-
-    def turn_census(self) -> Dict[str, int]:
-        """Summary counts over the realized channel-pair relation."""
-        topo = self.topology
-        total = 0
-        allowed = 0
-        for v in range(topo.n):
-            for a in topo.input_channels(v):
-                for b in topo.output_channels(v):
-                    if b == (a ^ 1):
-                        continue
-                    total += 1
-                    if self.is_turn_allowed(v, a, b):
-                        allowed += 1
-        prohibited_cls = self.prohibited_class_turns()
-        realized = self.realized_class_turns()
-        vacuous = [t for t in prohibited_cls if t not in realized]
-        return {
-            "channel_pairs": total,
-            "allowed_pairs": allowed,
-            "prohibited_pairs": total - allowed,
-            "released_pairs": len(self._pair_exceptions),
-            "prohibited_class_turns": len(prohibited_cls),
-            "vacuous_prohibited_class_turns": len(vacuous),
-        }
 
     def copy(self) -> "TurnModel":
         """Deep copy (used by ablations toggling Phase 3)."""

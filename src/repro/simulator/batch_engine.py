@@ -65,10 +65,9 @@ gate against the bit-exact oracles), and batch results carry a
 ledgers must never mix the two (see
 :func:`repro.experiments.ledger.unit_digest`).
 
-**Envelope.**  The engine runs only what the gate certifies: random
-selection among free candidates, fixed-length packets, unbounded
-source queues and no live faults.  :class:`SimulationConfig` refuses
-the other selection policies, ``length_mix`` and ``max_queue``, and
+**Envelope.**  The engine runs only what the gate certifies: the
+paper's one traffic model (random selection among free candidates,
+fixed-length packets, unbounded source queues) without live faults.
 ``attach_faults`` refuses a fault schedule, so nothing outside the
 engine ever rewrites worm state mid-run.  Flit state lives in an
 :class:`~repro.simulator.vec_state.ArrayState` whose arrays are

@@ -2,9 +2,12 @@
 
 One frozen dataclass holds every knob of the wormhole engine, with
 defaults matching the paper's Section 5 setup (128-flit packets,
-one-clock link/routing/transfer delays, uniform traffic).  Experiment
-presets (paper / midscale / quick) build on top of this in
-:mod:`repro.experiments.configs`.
+one-clock link/routing/transfer delays, uniform traffic).  The traffic
+model itself is fixed, as in the paper: every packet has the one
+configured length, sources are open-loop with unbounded injection
+queues, and a header picks uniformly at random among its free
+admissible channels.  Experiment presets (paper / midscale / quick)
+build on top of this in :mod:`repro.experiments.configs`.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ class SimulationConfig:
         Random seed for traffic, adaptive tie-breaks and arbitration.
     deadlock_interval:
         Watchdog: raise if no flit moves for this many consecutive
-        clocks while worms hold channels.  ``0`` disables the check.
+        clocks while worms hold channels.  ``0`` disables the check;
+        negative values are rejected.
     max_stall_clocks:
         Livelock/stall watchdog: raise
         :class:`~repro.simulator.engine.LivelockSuspected` (with a dump
@@ -77,26 +81,6 @@ class SimulationConfig:
         does not flag — e.g. worms waiting on a failed link during a
         fault's drain window that never get reconfigured.  ``None``
         (default) disables the check.
-    max_queue:
-        Optional cap on per-node injection queues (``None`` =
-        unbounded); when capped, generation at a full queue is dropped
-        and counted, modelling a finite-source experiment.  Bit-exact
-        engines only.
-    selection_policy:
-        How a header picks among several *free* admissible candidates:
-        ``"random"`` (the paper: "one of them is selected randomly"),
-        ``"first"`` (deterministic: lowest channel id), or
-        ``"least-congested"`` (emptiest downstream buffer, ties random)
-        — a common router heuristic, exposed for ablation.  The
-        bit-exact engines run all three; ``engine="batch"`` only
-        ``"random"``.
-    length_mix:
-        Optional bimodal/multimodal packet-length distribution: a tuple
-        of ``(length, weight)`` pairs sampled per packet.  ``None``
-        (default) uses the fixed *packet_length*.  The offered load in
-        flits/clock/node is preserved: the per-clock generation
-        probability uses the *mean* length of the mix.  Bit-exact
-        engines only.
     engine:
         The step implementation, and the only engine selector:
         ``"reference"`` (the seed golden model), ``"fast"`` (active-set
@@ -111,13 +95,10 @@ class SimulationConfig:
         oracles by :mod:`repro.simulator.equivalence`, and its results
         carry a ``statistical_fingerprint`` instead of a canonical
         digest.  ``"batch"`` runs only inside the envelope that
-        certification covers — random selection, fixed-length packets,
-        unbounded source queues and no live faults — and refuses
-        everything else (a ``selection_policy`` other than
-        ``"random"``, a ``length_mix`` or a ``max_queue`` here, a fault
-        schedule at ``attach_faults``).  The VC engine runs only the
-        bit-exact engines (its body commits are RNG-ordered under
-        shared link budgets) and refuses ``"batch"``.
+        certification covers, which is everything but live faults: it
+        refuses a fault schedule at ``attach_faults``.  The VC engine
+        runs only the bit-exact engines (its body commits are
+        RNG-ordered under shared link budgets) and refuses ``"batch"``.
     """
 
     packet_length: int = 128
@@ -130,16 +111,7 @@ class SimulationConfig:
     seed: Optional[int] = 0
     deadlock_interval: int = 2_000
     max_stall_clocks: Optional[int] = None
-    max_queue: Optional[int] = None
-    selection_policy: str = "random"
-    length_mix: Optional[tuple] = None
     engine: Optional[str] = None
-    #: seed-replica count for the replica-batched driver
-    #: (:func:`repro.simulator.replica_batch.run_replicated`).  ``None``
-    #: or 1 means a plain single run; R > 1 stacks R seed-replicas of
-    #: this scenario into one fused array sweep.  Only meaningful with
-    #: ``engine="batch"`` — the scalar/bit-exact engines ignore it.
-    replicas: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.packet_length < 1:
@@ -157,67 +129,14 @@ class SimulationConfig:
             raise ValueError("delays must be >= 0")
         if self.warmup_clocks < 0 or self.measure_clocks <= 0:
             raise ValueError("need a positive measurement window")
+        if self.deadlock_interval < 0:
+            raise ValueError("deadlock_interval must be >= 0 (0 disables)")
         if self.max_stall_clocks is not None and self.max_stall_clocks <= 0:
             raise ValueError("max_stall_clocks must be positive (or None)")
-        if self.selection_policy not in ("random", "first", "least-congested"):
-            raise ValueError(
-                f"unknown selection policy {self.selection_policy!r}"
-            )
         if self.engine is not None and self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; pick one of {ENGINES}"
             )
-        if self.replicas is not None and self.replicas < 1:
-            raise ValueError("replicas must be >= 1 (or None)")
-        if self.engine in RELAXED_ENGINES:
-            uncertified = [
-                name
-                for name, off in (
-                    ("selection_policy", self.selection_policy != "random"),
-                    ("length_mix", self.length_mix is not None),
-                    ("max_queue", self.max_queue is not None),
-                )
-                if off
-            ]
-            if uncertified:
-                raise ValueError(
-                    f"engine {self.engine!r} is certified only for random "
-                    "selection, fixed-length packets and unbounded queues; "
-                    f"run {', '.join(uncertified)} on one of the bit-exact "
-                    f"engines {BIT_EXACT_ENGINES}"
-                )
-        if self.length_mix is not None:
-            mix = tuple(self.length_mix)
-            if not mix:
-                raise ValueError("length_mix must be non-empty when given")
-            for length, weight in mix:
-                if int(length) < 1 or weight <= 0:
-                    raise ValueError(
-                        f"bad length_mix entry ({length}, {weight})"
-                    )
-            object.__setattr__(self, "length_mix", mix)
-
-    @property
-    def mean_packet_length(self) -> float:
-        """Mean flits per packet (the mix mean, or *packet_length*)."""
-        if self.length_mix is None:
-            return float(self.packet_length)
-        total_w = sum(w for _l, w in self.length_mix)
-        return sum(int(l) * w for l, w in self.length_mix) / total_w
-
-    def sample_length(self, rng) -> int:
-        """Draw one packet length (fixed, or from the mix)."""
-        if self.length_mix is None:
-            return self.packet_length
-        weights = [w for _l, w in self.length_mix]
-        total = sum(weights)
-        x = rng.random() * total
-        acc = 0.0
-        for length, weight in self.length_mix:
-            acc += weight
-            if x < acc:
-                return int(length)
-        return int(self.length_mix[-1][0])
 
     @property
     def total_clocks(self) -> int:
@@ -226,13 +145,8 @@ class SimulationConfig:
 
     @property
     def packet_probability(self) -> float:
-        """Per-node, per-clock Bernoulli generation probability.
-
-        Uses the mean packet length so the offered load (in
-        flits/clock/node) is exactly *injection_rate* under any
-        ``length_mix``.
-        """
-        return self.injection_rate / self.mean_packet_length
+        """Per-node, per-clock Bernoulli generation probability."""
+        return self.injection_rate / self.packet_length
 
     def with_rate(self, injection_rate: float) -> "SimulationConfig":
         """Copy of this config at a different offered load."""

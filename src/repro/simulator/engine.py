@@ -270,23 +270,19 @@ class SimulatorCore:
         hits = np.nonzero(self.rng.random(self._n) < p)[0]
         if hits.size == 0:
             return
-        cfg = self.config
+        length = self.config.packet_length
         dead_switches = (
             self.faults.dead_switches if self.faults is not None else ()
         )
         for s in hits.tolist():
             if s in dead_switches:
                 continue  # a failed switch generates nothing
-            if cfg.max_queue is not None and len(self.queues[s]) >= cfg.max_queue:
-                self.stats.on_generate(dropped=True)
-                continue
             dst = self.traffic.destination(s, self.rng)
             if dst in dead_switches:
                 # addressed to a failed host: lost at generation time
                 self.stats.on_generate()
                 self.stats.on_lost()
                 continue
-            length = cfg.sample_length(self.rng)
             w = Worm(self._next_pid, s, dst, length, self.clock)
             self._next_pid += 1
             self.worms[w.pid] = w
@@ -583,10 +579,6 @@ class WormholeSimulator(SimulatorCore):
         #: per-epoch routing-decision cache (dead-channel-filtered
         #: candidate rows; see :class:`repro.simulator.fastpath.DecisionCache`)
         self.decision_cache = DecisionCache(routing, self.dead_channels)
-        #: fast-path arbitration may claim grants by writing the
-        #: occupancy maps in place — valid unless the selection policy
-        #: reads occupancy mid-arbitration (least-congested does)
-        self._occ_write = config.selection_policy != "least-congested"
         #: the live list: active worms not known-quiet, i.e. the only
         #: ones the body-move scan must visit (fast path)
         self._live: List[Worm] = []
@@ -1208,62 +1200,34 @@ class WormholeSimulator(SimulatorCore):
         consume_occ = self.consume_occ
         grants_append = grants.append
         losers_append = losers.append
-        if self._occ_write:
-            # Claim resources by writing the occupancy maps right at
-            # the grant (the commit writes the same values again):
-            # "free and not granted earlier this clock" collapses to
-            # one FREE test.  Only safe while nothing reads the maps
-            # mid-arbitration — the least-congested selection policy
-            # does, so it takes the set-based branch below.
-            for req in visit:
-                w, origin, cands = req
-                if origin is None:
-                    dst = w.dst
-                    if consume_occ[dst] == FREE:
-                        consume_occ[dst] = w.pid
-                        grants_append((w, -2, dst))
-                    else:
-                        losers_append(req)
-                    continue
-                if cands.__class__ is int:
-                    # singleton candidate (the common case): no list
-                    # build; a lone free candidate never draws RNG
-                    if occ[cands] == FREE:
-                        occ[cands] = w.pid
-                        grants_append((w, origin, cands))
-                    else:
-                        losers_append(req)
-                    continue
-                avail = [c for c in cands if occ[c] == FREE]
-                if not avail:
-                    losers_append(req)
-                    continue
-                pick = avail[0] if len(avail) == 1 else self._select(avail)
-                occ[pick] = w.pid
-                grants_append((w, origin, pick))
-            return
-        granted_channels: set = set()
-        granted_consume: set = set()
+        # Claim resources by writing the occupancy maps right at the
+        # grant (the commit writes the same values again): "free and
+        # not granted earlier this clock" collapses to one FREE test.
         for req in visit:
             w, origin, cands = req
             if origin is None:
                 dst = w.dst
-                if dst not in granted_consume and consume_occ[dst] == FREE:
-                    granted_consume.add(dst)
+                if consume_occ[dst] == FREE:
+                    consume_occ[dst] = w.pid
                     grants_append((w, -2, dst))
                 else:
                     losers_append(req)
                 continue
             if cands.__class__ is int:
-                cands = (cands,)
-            avail = [
-                c for c in cands if occ[c] == FREE and c not in granted_channels
-            ]
+                # singleton candidate (the common case): no list
+                # build; a lone free candidate never draws RNG
+                if occ[cands] == FREE:
+                    occ[cands] = w.pid
+                    grants_append((w, origin, cands))
+                else:
+                    losers_append(req)
+                continue
+            avail = [c for c in cands if occ[c] == FREE]
             if not avail:
                 losers_append(req)
                 continue
             pick = avail[0] if len(avail) == 1 else self._select(avail)
-            granted_channels.add(pick)
+            occ[pick] = w.pid
             grants_append((w, origin, pick))
 
     def _wake_requests(self, waiting: List[tuple], hot: List[tuple]) -> None:
@@ -1410,36 +1374,10 @@ class WormholeSimulator(SimulatorCore):
             check(req)
 
     def _select(self, avail: List[int]) -> int:
-        """Pick one free candidate per the configured selection policy.
-
-        ``random`` — uniform (the paper's rule); ``first`` — lowest
-        channel id (deterministic tie-break); ``least-congested`` — the
-        candidate whose *next* switch has the fewest busy output
-        channels (a credit-style congestion proxy; the candidates
-        themselves are free, so their own buffers are empty), ties
-        broken randomly.
-        """
+        """Pick one free candidate uniformly at random (the paper's rule:
+        "one of them is selected randomly")."""
         if len(avail) == 1:
             return avail[0]
-        policy = self.config.selection_policy
-        if policy == "first":
-            return min(avail)
-        if policy == "least-congested":
-            occ = self.channel_occ
-            topo = self.topology
-
-            def busy(c: int) -> int:
-                return sum(
-                    1
-                    for o in topo.output_channels(self._sink[c])
-                    if occ[o] != FREE
-                )
-
-            scores = [busy(c) for c in avail]
-            best = min(scores)
-            avail = [c for c, s_ in zip(avail, scores) if s_ == best]
-            if len(avail) == 1:
-                return avail[0]
         return avail[int(self.rng.integers(len(avail)))]
 
 

@@ -113,14 +113,11 @@ def replica_seed(base: Optional[int], index: int) -> Optional[int]:
     return derive_seed(base, _REPLICA_KEY, index)
 
 
-def replica_seeds(
-    config: SimulationConfig, replicas: Optional[int] = None
-) -> List[Optional[int]]:
-    """The seed of each replica of *config* (see :func:`replica_seed`)."""
-    n = replicas if replicas is not None else (config.replicas or 1)
-    if n < 1:
+def replica_seeds(config: SimulationConfig, replicas: int) -> List[Optional[int]]:
+    """The seeds of *replicas* replicas of *config* (see :func:`replica_seed`)."""
+    if replicas < 1:
         raise ValueError("need at least one replica")
-    return [replica_seed(config.seed, r) for r in range(n)]
+    return [replica_seed(config.seed, r) for r in range(replicas)]
 
 
 class ReplicaBatchCore:
@@ -613,14 +610,13 @@ class ReplicaBatchCore:
 def run_replicated(
     routing,
     config: SimulationConfig,
-    seeds: Optional[Sequence[Optional[int]]] = None,
+    seeds: Sequence[Optional[int]],
     traffic=None,
 ) -> List[SimulationStats]:
     """Run R seed-replicas of one scenario through the fused driver.
 
-    *seeds* defaults to :func:`replica_seeds` of *config* (so
-    ``SimulationConfig(replicas=R)`` is the usual entry point); an
-    explicit sequence runs exactly those seeds, in order.  Returns one
+    *seeds* are the replicas' seeds, run in order; R replicas of
+    *config* are ``replica_seeds(config, R)``.  Returns one
     :class:`~repro.simulator.stats.SimulationStats` per seed — each
     identical (by ``statistical_fingerprint``) to a sequential
     ``engine="batch"`` run of that seed.
@@ -628,8 +624,6 @@ def run_replicated(
     *traffic*, when given, must be stateless across calls (the built-in
     patterns are): the single instance is shared by every replica.
     """
-    if seeds is None:
-        seeds = replica_seeds(config)
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one replica seed")

@@ -67,7 +67,6 @@ class StatsCollector:
         #: flits injected per source switch
         self.injected_flits: List[int] = [0] * topology.n
         self.generated_packets = 0
-        self.dropped_packets = 0
         self.delivered_packets = 0
         #: packets removed from the network by a fault (drop/eject/
         #: truncation) — each may later be retried from the source
@@ -111,11 +110,9 @@ class StatsCollector:
         if self.active:
             self.injected_flits[node] += flits
 
-    def on_generate(self, dropped: bool = False) -> None:
+    def on_generate(self) -> None:
         if self.active:
             self.generated_packets += 1
-            if dropped:
-                self.dropped_packets += 1
 
     def on_delivered(self, latency: int, header_latency: int, hops: int) -> None:
         if self.active:
@@ -189,7 +186,7 @@ class StatsCollector:
             consumed_flits=np.array(self.consumed_flits, dtype=np.int64),
             injected_flits=np.array(self.injected_flits, dtype=np.int64),
             generated_packets=self.generated_packets,
-            dropped_packets=self.dropped_packets,
+            dropped_packets=0,
             delivered_packets=self.delivered_packets,
             latencies=tuple(self.latencies),
             header_latencies=tuple(self.header_latencies),
@@ -225,6 +222,10 @@ class SimulationStats:
     consumed_flits: np.ndarray
     injected_flits: np.ndarray
     generated_packets: int
+    #: always 0: source queues are unbounded, so no generated packet is
+    #: ever refused.  Kept in its slot because :meth:`canonical_digest`
+    #: and :meth:`statistical_fingerprint` hash it, and every pinned
+    #: digest and fingerprint was recorded with it there.
     dropped_packets: int
     delivered_packets: int
     latencies: Tuple[int, ...]

@@ -17,10 +17,9 @@ arbitration — so these tests pin what its contract actually promises:
   never be confused with) ``canonical_digest``, ledger unit digests
   become engine-variant for batch units, and ``run_unit`` takes the
   engine from the preset alone;
-* **certified envelope**: the engine refuses every input the
-  equivalence gate never certified — a selection policy other than
-  ``random``, a ``length_mix``, a ``max_queue`` and live fault schedules
-  — while the bit-exact engines accept all of them;
+* **certified envelope**: the engine refuses live fault schedules, the
+  one input the equivalence gate never certified, while the bit-exact
+  engines accept them;
 * **object sync**: writing the array counts back onto the worm objects
   mid-run restores their flit accounting and leaves the arrays as
   they were;
@@ -250,44 +249,6 @@ class TestEngineHooks:
             sim.stats.window_clocks += 1
         stats = sim.stats.finalize(sum(len(q) for q in sim.queues))
         assert stats.delivered_packets > 0
-
-    def test_selection_policies_run(self, net):
-        """Only random selection is certified on batch; the bit-exact
-        engines run every policy."""
-        _topo, routing = net
-        for policy in ("first", "least-congested"):
-            _assert_refused(selection_policy=policy)
-            stats = _run(routing, _cfg(selection_policy=policy, engine="fast"))
-            assert stats.delivered_packets > 0
-
-    def test_length_mix_runs(self, net):
-        _topo, routing = net
-        mix = ((4, 1.0), (16, 1.0))
-        _assert_refused(length_mix=mix)
-        stats = _run(routing, _cfg(length_mix=mix, engine="fast"))
-        assert stats.delivered_packets > 0
-        assert stats.consumed_flits.sum() > 0
-
-    def test_max_queue_cap_drops(self, net):
-        _topo, routing = net
-        _assert_refused(max_queue=1)
-        stats = _run(
-            routing, _cfg(injection_rate=0.9, max_queue=1, engine="fast")
-        )
-        assert stats.dropped_packets > 0
-
-
-def _assert_refused(**overrides):
-    """*overrides* raise at config construction under ``engine="batch"``,
-    naming the uncertified field and the bit-exact engines."""
-    with pytest.raises(ValueError) as exc:
-        _cfg(**overrides)
-    msg = str(exc.value)
-    assert str(BIT_EXACT_ENGINES) in msg
-    for field in overrides:
-        assert field in msg
-    for engine in BIT_EXACT_ENGINES:
-        _cfg(engine=engine, **overrides)
 
 
 class TestCertifiedEnvelope:

@@ -18,8 +18,8 @@ Three independent layers of cross-checking:
 
 * **Random scenarios** (``test_random_scenarios_fast_matches_reference``
   and its VC twin): hypothesis draws small networks, loads up to
-  saturation, short packets, shallow buffers, every selection policy,
-  hotspot traffic and fault schedules, and both step functions must
+  saturation, short packets, shallow buffers, hotspot traffic and
+  fault schedules, and both step functions must
   still agree byte for byte with the invariants checked every clock.
 
 * **Injection interleaving** (``TestInjectionInterleaving``): same-clock
@@ -161,12 +161,6 @@ class TestEngineDifferential:
             _digests(lambda c: WormholeSimulator(routing, c, traffic=traffic), cfg)
         )
 
-    @pytest.mark.parametrize("policy", ["random", "first", "least-congested"])
-    def test_base_selection_policies(self, net, cfg, policy):
-        _topo, routing = net
-        cfg = dataclasses.replace(cfg, selection_policy=policy)
-        _assert_equal(_digests(lambda c: WormholeSimulator(routing, c), cfg))
-
     def test_base_up_down_routing(self, net, cfg):
         topo, _routing = net
         routing = build_up_down_routing(topo)
@@ -282,20 +276,6 @@ class TestEngineDifferential:
 
         _assert_equal(_digests(make, cfg), pinned="vc_faults")
 
-    def test_length_mix_and_bounded_queues(self, net):
-        """Length mixes and finite queues exercise extra RNG draws."""
-        _topo, routing = net
-        cfg = SimulationConfig(
-            packet_length=16,
-            injection_rate=0.2,
-            warmup_clocks=400,
-            measure_clocks=2_000,
-            seed=23,
-            length_mix=((8, 0.5), (32, 0.5)),
-            max_queue=4,
-        )
-        _assert_equal(_digests(lambda c: WormholeSimulator(routing, c), cfg))
-
     def test_sched_telemetry_only_on_fast_path(self, net, cfg):
         """The digest excludes scheduler telemetry, which only the fast
         path records — occupancy must be measured, and < 1."""
@@ -343,7 +323,6 @@ _RANDOM_SCENARIO = dict(
     length=st.sampled_from([1, 2, 3, 8, 16]),
     buffer_flits=st.integers(1, 3),
     header_delay=st.integers(0, 2),
-    policy=st.sampled_from(["random", "first", "least-congested"]),
     hotspot=st.booleans(),
     faults=st.sampled_from([None, "drop", "drain"]),
     seed=st.integers(0, 2**31 - 1),
@@ -351,8 +330,8 @@ _RANDOM_SCENARIO = dict(
 
 
 def _assert_random_scenario(
-    build, net, load, length, buffer_flits, header_delay, policy, hotspot,
-    faults, seed,
+    build, net, load, length, buffer_flits, header_delay, hotspot, faults,
+    seed,
 ):
     """Run one drawn scenario on both bit-exact engines, invariants on.
 
@@ -366,7 +345,6 @@ def _assert_random_scenario(
         header_delay=header_delay,
         warmup_clocks=100,
         measure_clocks=400,
-        selection_policy=policy,
         seed=seed,
     )
     traffic = (
@@ -405,18 +383,17 @@ def _assert_random_scenario(
 # released in the same clock although none of its flits can move
 @example(
     net=(6, 3, 0), load=1.0, length=3, buffer_flits=1, header_delay=0,
-    policy="random", hotspot=False, faults="drain", seed=0,
+    hotspot=False, faults="drain", seed=0,
 )
 def test_random_scenarios_fast_matches_reference(
-    net, load, length, buffer_flits, header_delay, policy, hotspot, faults,
-    seed,
+    net, load, length, buffer_flits, header_delay, hotspot, faults, seed,
 ):
     """Reference and fast agree on random small scenarios, and the fast
     path's parked requests stay blocked on busy, registered resources."""
     _assert_random_scenario(
         lambda r, c, t: WormholeSimulator(r, c, traffic=t),
-        net, load, length, buffer_flits, header_delay, policy, hotspot,
-        faults, seed,
+        net, load, length, buffer_flits, header_delay, hotspot, faults,
+        seed,
     )
 
 
@@ -426,12 +403,11 @@ def test_random_scenarios_fast_matches_reference(
 # be marked quiet before its empty tail VC is released
 @example(
     vcs=2, net=(6, 3, 0), load=1.0, length=3, buffer_flits=1,
-    header_delay=0, policy="random", hotspot=False, faults="drain",
-    seed=2,
+    header_delay=0, hotspot=False, faults="drain", seed=2,
 )
 def test_random_vc_scenarios_fast_matches_reference(
-    vcs, net, load, length, buffer_flits, header_delay, policy, hotspot,
-    faults, seed,
+    vcs, net, load, length, buffer_flits, header_delay, hotspot, faults,
+    seed,
 ):
     """The VC engine's reference and fast paths agree on the same random
     scenarios: 1-3 replicated VCs, or Duato routing on 3 VCs (fault-free
@@ -449,8 +425,8 @@ def test_random_vc_scenarios_fast_matches_reference(
             return VirtualChannelSimulator(r, c, num_vcs=vcs, traffic=t)
 
     _assert_random_scenario(
-        build, net, load, length, buffer_flits, header_delay, policy,
-        hotspot, faults, seed,
+        build, net, load, length, buffer_flits, header_delay, hotspot,
+        faults, seed,
     )
 
 

@@ -1,101 +1,9 @@
-"""Tests for engine features: selection policies, length mix, timeline."""
-
-import pytest
+"""Tests for engine features: the throughput timeline."""
 
 from repro.core.downup import build_down_up_routing
 from repro.simulator import SimulationConfig, WormholeSimulator, simulate
-from repro.simulator.stats import StatsCollector
 from repro.topology import zoo
 from repro.topology.generator import random_irregular_topology
-
-
-class TestSelectionPolicies:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="selection policy"):
-            SimulationConfig(selection_policy="greedy")
-
-    @pytest.mark.parametrize("policy", ["random", "first", "least-congested"])
-    def test_all_policies_run_and_deliver(self, policy):
-        topo = random_irregular_topology(16, 4, rng=3)
-        r = build_down_up_routing(topo)
-        cfg = SimulationConfig(
-            packet_length=8, injection_rate=0.15,
-            warmup_clocks=200, measure_clocks=1_200, seed=4,
-            selection_policy=policy,
-        )
-        stats = simulate(r, cfg)
-        assert stats.accepted_traffic == pytest.approx(0.15, rel=0.35)
-
-    def test_first_policy_is_deterministic_per_decision(self):
-        """With 'first', two identical runs pick identical paths even
-        though traffic randomness is unchanged (same seed anyway), and
-        the engine never uses the rng for candidate picking."""
-        topo = random_irregular_topology(16, 4, rng=5)
-        r = build_down_up_routing(topo)
-        cfg = SimulationConfig(
-            packet_length=8, injection_rate=0.2,
-            warmup_clocks=100, measure_clocks=800, seed=6,
-            selection_policy="first",
-        )
-        a, b = simulate(r, cfg), simulate(r, cfg)
-        assert a.latencies == b.latencies
-
-    def test_policies_change_behaviour(self):
-        """Different policies produce (generally) different channel
-        usage on an adaptive network."""
-        topo = random_irregular_topology(20, 4, rng=8)
-        r = build_down_up_routing(topo)
-        import numpy as np
-
-        outs = {}
-        for policy in ("random", "first"):
-            cfg = SimulationConfig(
-                packet_length=8, injection_rate=0.3,
-                warmup_clocks=200, measure_clocks=1_500, seed=7,
-                selection_policy=policy,
-            )
-            outs[policy] = simulate(r, cfg).channel_flits
-        assert not np.array_equal(outs["random"], outs["first"])
-
-
-class TestLengthMix:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            SimulationConfig(length_mix=())
-        with pytest.raises(ValueError, match="length_mix entry"):
-            SimulationConfig(length_mix=((0, 1.0),))
-        with pytest.raises(ValueError, match="length_mix entry"):
-            SimulationConfig(length_mix=((8, -1.0),))
-
-    def test_mean_length(self):
-        cfg = SimulationConfig(length_mix=((4, 1.0), (12, 1.0)))
-        assert cfg.mean_packet_length == 8.0
-        assert cfg.packet_probability == pytest.approx(cfg.injection_rate / 8.0)
-
-    def test_sampler_distribution(self):
-        import numpy as np
-
-        cfg = SimulationConfig(length_mix=((4, 3.0), (16, 1.0)))
-        rng = np.random.default_rng(0)
-        draws = [cfg.sample_length(rng) for _ in range(4000)]
-        assert set(draws) == {4, 16}
-        frac4 = draws.count(4) / len(draws)
-        assert 0.70 < frac4 < 0.80
-
-    def test_bimodal_traffic_simulates(self):
-        topo = random_irregular_topology(16, 4, rng=9)
-        r = build_down_up_routing(topo)
-        cfg = SimulationConfig(
-            packet_length=8,  # ignored by generation when mix is set
-            injection_rate=0.12,
-            warmup_clocks=400, measure_clocks=2_000, seed=3,
-            length_mix=((4, 0.5), (32, 0.5)),
-        )
-        stats = simulate(r, cfg)
-        # offered load preserved in flits/clock/node
-        assert stats.accepted_traffic == pytest.approx(0.12, rel=0.35)
-        # both sizes delivered: latency spread is wide
-        assert max(stats.latencies) - min(stats.latencies) >= 28
 
 
 class TestTimeline:

@@ -131,7 +131,7 @@ class TestZeroDeliveredSentinels:
         collector = StatsCollector(small_irregular)
         collector.active = True
         collector.window_clocks = 100
-        collector.on_generate(dropped=True)
+        collector.on_generate()
         collector.on_fault_drop()
         collector.on_lost()
         return collector.finalize(queue_backlog=0)

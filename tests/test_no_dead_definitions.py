@@ -1,0 +1,64 @@
+"""Guard against dead definitions in ``src/repro``.
+
+Every non-dunder function, method and class defined under
+``src/repro`` must be named somewhere besides its own ``def``/``class``
+line: a call, an import, an ``__all__`` entry, a test, an example, a
+benchmark, or at least a comment.  A definition that nothing names is
+code no path reaches, and it is deleted rather than kept "for later".
+
+The check is lexical on purpose: a name counts as used when it occurs
+as a whole word in any ``.py`` file under ``src/``, ``tests/``,
+``examples/`` or ``benchmarks/`` more often than it is defined in
+``src/repro``.  That over-approximates use (a same-named local
+variable or attribute keeps a definition alive), so the guard never
+flags live code, only definitions nobody can be reaching.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import repro
+
+ROOT = Path(repro.__file__).resolve().parents[2]
+SCANNED = ("src", "tests", "examples", "benchmarks")
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _definitions():
+    """``(name, path, line)`` of every non-dunder def/class in src/repro."""
+    out = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    out.append((name, path, node.lineno))
+    return out
+
+
+def _word_counts():
+    counts: Counter = Counter()
+    for top in SCANNED:
+        for path in (ROOT / top).rglob("*.py"):
+            counts.update(_WORD.findall(path.read_text()))
+    return counts
+
+
+def test_every_definition_is_named_elsewhere():
+    defs = _definitions()
+    assert defs, "found no definitions under src/repro"
+    defined = Counter(name for name, _path, _line in defs)
+    words = _word_counts()
+    dead = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for name, path, line in defs
+        if words[name] <= defined[name]
+    ]
+    assert not dead, (
+        "definitions named nowhere but at their own definition "
+        "(delete them, or use them):\n" + "\n".join(dead)
+    )

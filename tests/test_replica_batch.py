@@ -94,11 +94,11 @@ class TestSeedDerivation:
             replica_seed(1, -1)
 
     def test_replica_seeds_distinct_and_stable(self):
-        cfg = _cfg(replicas=5)
-        seeds = replica_seeds(cfg)
+        cfg = _cfg()
+        seeds = replica_seeds(cfg, 5)
         assert seeds[0] == cfg.seed
         assert len(set(seeds)) == 5
-        assert seeds == replica_seeds(cfg)
+        assert seeds == replica_seeds(cfg, 5)
 
     def test_replica_seeds_needs_one(self):
         with pytest.raises(ValueError):
@@ -110,18 +110,20 @@ class TestStackedEqualsSequential:
     @pytest.mark.parametrize("pl", [8, 24])
     def test_uniform(self, net, rate, pl):
         _topo, routing = net
-        cfg = _cfg(injection_rate=rate, packet_length=pl, replicas=4)
-        stacked = run_replicated(routing, cfg)
-        seq = _sequential(routing, cfg, replica_seeds(cfg))
+        cfg = _cfg(injection_rate=rate, packet_length=pl)
+        seeds = replica_seeds(cfg, 4)
+        stacked = run_replicated(routing, cfg, seeds)
+        seq = _sequential(routing, cfg, seeds)
         for a, b in zip(stacked, seq):
             _assert_stats_equal(a, b)
 
     def test_hotspot(self, net):
         topo, routing = net
         traffic = HotspotTraffic(topo.n, hotspots=(0, topo.n // 2), fraction=0.25)
-        cfg = _cfg(injection_rate=0.3, replicas=4)
-        stacked = run_replicated(routing, cfg, traffic=traffic)
-        seq = _sequential(routing, cfg, replica_seeds(cfg), traffic=traffic)
+        cfg = _cfg(injection_rate=0.3)
+        seeds = replica_seeds(cfg, 4)
+        stacked = run_replicated(routing, cfg, seeds, traffic=traffic)
+        seq = _sequential(routing, cfg, seeds, traffic=traffic)
         for a, b in zip(stacked, seq):
             _assert_stats_equal(a, b)
 
@@ -139,15 +141,16 @@ class TestPackingInvariance:
         # R=1 runs the plain loop; R=8 runs the fused driver — replica 0
         # (the base seed) must not notice the difference
         _topo, routing = net
-        alone = run_replicated(routing, _cfg(replicas=1))[0]
-        stacked = run_replicated(routing, _cfg(replicas=8))[0]
+        cfg = _cfg()
+        alone = run_replicated(routing, cfg, replica_seeds(cfg, 1))[0]
+        stacked = run_replicated(routing, cfg, replica_seeds(cfg, 8))[0]
         _assert_stats_equal(alone, stacked)
 
     def test_subset_packing(self, net):
         # the partial sibling groups ledger resume leaves behind: any
         # subset of the seed list packs to the same per-seed results
         _topo, routing = net
-        seeds = replica_seeds(_cfg(replicas=4))
+        seeds = replica_seeds(_cfg(), 4)
         full = run_replicated(routing, _cfg(), seeds=seeds)
         sub = run_replicated(routing, _cfg(), seeds=[seeds[1], seeds[3]])
         _assert_stats_equal(sub[0], full[1])
@@ -155,7 +158,8 @@ class TestPackingInvariance:
 
     def test_distinct_seeds_give_distinct_results(self, net):
         _topo, routing = net
-        stacked = run_replicated(routing, _cfg(replicas=4))
+        cfg = _cfg()
+        stacked = run_replicated(routing, cfg, replica_seeds(cfg, 4))
         prints = {s.statistical_fingerprint() for s in stacked}
         assert len(prints) == 4
 
@@ -166,10 +170,10 @@ class TestEarlyDrainMasking:
         # replicas; the early-drain mask must keep resolve invocations
         # far below the R * clocks a naive per-replica loop would pay
         _topo, routing = net
-        cfg = _cfg(injection_rate=0.02, packet_length=24, replicas=8)
+        cfg = _cfg(injection_rate=0.02, packet_length=24)
         sims = [
             WormholeSimulator(routing, cfg.with_engine("batch").with_seed(s))
-            for s in replica_seeds(cfg)
+            for s in replica_seeds(cfg, 8)
         ]
         core = ReplicaBatchCore(sims)
         stats = core.run()
@@ -200,12 +204,12 @@ class TestHypothesisContract:
             cfg = _cfg(
                 seed=base_seed,
                 injection_rate=rate,
-                replicas=replicas,
                 warmup_clocks=50,
                 measure_clocks=250,
             )
-            stacked = run_replicated(routing, cfg)
-            seq = _sequential(routing, cfg, replica_seeds(cfg))
+            seeds = replica_seeds(cfg, replicas)
+            stacked = run_replicated(routing, cfg, seeds)
+            seq = _sequential(routing, cfg, seeds)
             for a, b in zip(stacked, seq):
                 assert (
                     a.statistical_fingerprint() == b.statistical_fingerprint()
@@ -321,6 +325,4 @@ class TestLedgerIdentity:
         preset = get_preset("tiny").scaled(engine="batch", replicas=3)
         unit = WorkUnit(preset, 4, 0, "l-turn", "M1", 0.05, replica=2)
         base = derive_seed(preset.seed, unit.seed_salt, unit.ports, unit.sample)
-        assert replica_seed(base, 2) == replica_seeds(
-            preset.sim_config(base), replicas=3
-        )[2]
+        assert replica_seed(base, 2) == replica_seeds(preset.sim_config(base), 3)[2]

@@ -1,5 +1,7 @@
 """Tests for the wormhole engine: timing, pipelining, blocking, arbitration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -263,7 +265,7 @@ class TestParkingInvariant:
     all its resources busy and is on each one's waiter list."""
 
     @staticmethod
-    def _saturated_hotspot(topology, policy, engine="fast"):
+    def _saturated_hotspot(topology, engine="fast"):
         from repro.core.downup import build_down_up_routing
         from repro.simulator.traffic import HotspotTraffic
 
@@ -273,18 +275,14 @@ class TestParkingInvariant:
             injection_rate=1.0,
             warmup_clocks=0,
             measure_clocks=1_500,
-            selection_policy=policy,
             seed=21,
             engine=engine,
         )
         traffic = HotspotTraffic(topology.n, hotspots=(2, 9), fraction=0.5)
         return WormholeSimulator(routing, cfg, traffic=traffic)
 
-    @pytest.mark.parametrize("policy", ["random", "least-congested"])
-    def test_saturated_hotspot_keeps_parking_invariant(
-        self, medium_irregular, policy
-    ):
-        sim = self._saturated_hotspot(medium_irregular, policy)
+    def test_saturated_hotspot_keeps_parking_invariant(self, medium_irregular):
+        sim = self._saturated_hotspot(medium_irregular)
         sim.enable_invariant_checks()
         parked = blocked = 0
         for _ in range(1_500):
@@ -293,7 +291,7 @@ class TestParkingInvariant:
             blocked += len(sim._wheel.blocked)
         # saturation really parked both kinds of request
         assert parked > 0 and blocked > 0
-        ref = self._saturated_hotspot(medium_irregular, policy, "reference")
+        ref = self._saturated_hotspot(medium_irregular, "reference")
         for _ in range(1_500):
             ref.step()
 
@@ -304,7 +302,7 @@ class TestParkingInvariant:
         assert state(ref) == state(sim)
 
     def test_check_catches_a_missed_wake(self, medium_irregular):
-        sim = self._saturated_hotspot(medium_irregular, "random")
+        sim = self._saturated_hotspot(medium_irregular)
         sim.enable_invariant_checks()
         while not any(req[0].parked for req in sim._reqs):
             sim.step()
@@ -369,27 +367,6 @@ class TestLoadBehaviour:
         assert high.average_latency > low.average_latency
 
 
-class TestMaxQueue:
-    def test_generation_dropped_at_full_queue(self, line3):
-        routing = build_up_down_routing(line3)
-        cfg = SimulationConfig(
-            packet_length=64,
-            injection_rate=1.0,
-            warmup_clocks=0,
-            measure_clocks=3_000,
-            seed=2,
-            max_queue=2,
-        )
-        sim = WormholeSimulator(routing, cfg)
-        sim.stats.active = True
-        for _ in range(3000):
-            sim.step()
-            sim.stats.window_clocks += 1
-        stats = sim.stats.finalize(sum(len(q) for q in sim.queues))
-        assert stats.dropped_packets > 0
-        assert all(len(q) <= 2 for q in sim.queues)
-
-
 class TestConfigValidation:
     def test_bad_packet_length(self):
         with pytest.raises(ValueError):
@@ -406,6 +383,22 @@ class TestConfigValidation:
     def test_zero_buffer(self):
         with pytest.raises(ValueError):
             SimulationConfig(buffer_flits=0)
+
+    def test_negative_deadlock_interval(self):
+        # a negative interval never matches the watchdog's clock test,
+        # so it would silently disable deadlock detection
+        with pytest.raises(ValueError, match="deadlock_interval"):
+            SimulationConfig(deadlock_interval=-1)
+        assert SimulationConfig(deadlock_interval=0).deadlock_interval == 0
+
+    def test_fields_are_the_paper_traffic_model(self):
+        # one packet length, unbounded queues, random selection: the
+        # traffic model itself has no knob
+        assert [f.name for f in dataclasses.fields(SimulationConfig)] == [
+            "packet_length", "injection_rate", "warmup_clocks",
+            "measure_clocks", "buffer_flits", "header_delay", "link_delay",
+            "seed", "deadlock_interval", "max_stall_clocks", "engine",
+        ]
 
     def test_with_rate_and_seed(self):
         cfg = SimulationConfig()
