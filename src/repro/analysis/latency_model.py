@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.analysis.bounds import ThroughputBound, throughput_upper_bound
 from repro.routing.base import RoutingFunction
 from repro.routing.diagnostics import path_length_stats

@@ -18,7 +18,7 @@ evaluation):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 from repro.analysis.static_load import static_utilization_report
 from repro.core.coordinated_tree import build_coordinated_tree
@@ -27,17 +27,6 @@ from repro.routing.diagnostics import adaptivity
 from repro.topology.graph import Topology
 from repro.topology.validation import find_bridges
 from repro.util.rng import RngLike, as_generator
-
-
-def _bridges(topology: Topology) -> set:
-    """All bridge links (links whose removal disconnects the network).
-
-    Single-pass Tarjan low-link finder, ``O(|V| + |E|)`` — shared with
-    the live fault schedule's connectivity guard
-    (:class:`repro.faults.FaultSchedule`), which probes candidate links
-    once per fault event and needs the pass to be cheap.
-    """
-    return find_bridges(topology)
 
 
 def degrade_topology(
@@ -52,7 +41,7 @@ def degrade_topology(
     gen = as_generator(rng)
     current = topology
     for k in range(failures):
-        removable = sorted(set(current.links) - _bridges(current))
+        removable = sorted(set(current.links) - find_bridges(current))
         if not removable:
             raise ValueError(
                 f"only {k} of {failures} links were removable without "

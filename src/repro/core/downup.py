@@ -27,10 +27,7 @@ from repro.core.coordinated_tree import (
     build_coordinated_tree,
 )
 from repro.core.cycle_detection import release_redundant_turns
-from repro.core.direction_graph import (
-    DOWN_UP_PROHIBITED_TURNS,
-    Turn,
-)
+from repro.core.direction_graph import DOWN_UP_PROHIBITED_TURNS
 from repro.core.directions import Direction, NUM_DIRECTIONS
 from repro.routing.base import RoutingFunction, TurnModel
 from repro.routing.table import build_routing_function

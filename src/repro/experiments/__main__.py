@@ -102,20 +102,19 @@ def _parser() -> argparse.ArgumentParser:
             "per-replica results identical to sequential runs",
         )
 
-    def caching(sp, default_on=False):
+    def caching(sp, default=None):
         sp.add_argument(
             "--artifact-cache", type=Path, default=None, metavar="DIR",
             help="content-addressed construction cache: each topology, "
             "tree and routing is built once, then reused by every work "
             "unit and every later run (results are bit-identical)"
-            + ("; default: <out>/artifact_cache" if default_on else ""),
+            + (f"; default: {default}" if default else ""),
         )
-        sp.add_argument(
-            "--no-artifact-cache", action="store_true",
-            help="disable the construction cache"
-            + ("" if default_on else " (it is already off unless "
-               "--artifact-cache is given)"),
-        )
+        if default:
+            sp.add_argument(
+                "--no-artifact-cache", action="store_true",
+                help="disable the construction cache",
+            )
 
     def durability(sp):
         sp.add_argument(
@@ -193,7 +192,7 @@ def _parser() -> argparse.ArgumentParser:
                     "(also truncates the per-stage unit ledgers)")
     cp.add_argument("--no-static", action="store_true",
                     help="skip the static-analysis cross-check stage")
-    caching(cp, default_on=True)
+    caching(cp, default="<out>/artifact_cache")
 
     wk = sub.add_parser(
         "work",
@@ -259,14 +258,11 @@ def _parser() -> argparse.ArgumentParser:
         help="skip the static-analysis cross-check stage",
     )
     wk.add_argument(
-        "--shared-cache", type=Path, default=None, metavar="DIR",
-        help="shared read-through artifact tier (entries are "
-        "checksum-verified on import)",
-    )
-    wk.add_argument(
         "--quiet", action="store_true", help="suppress progress lines"
     )
-    caching(wk, default_on=True)
+    caching(
+        wk, default="<campaign-dir>/artifact_cache, shared by every worker"
+    )
 
     lf = sub.add_parser(
         "live-faults",
@@ -426,6 +422,16 @@ def _report_failures(failures) -> int:
     return 1
 
 
+def _report_stages(stages, out: Path) -> int:
+    """Print one line per campaign stage; nonzero when any unit failed."""
+    for st in stages:
+        state = "skipped" if st.skipped else f"{st.seconds:.1f}s"
+        suffix = f"  ({len(st.failures)} unit(s) FAILED)" if st.failures else ""
+        print(f"{st.name:18s} {state}{suffix}")
+    print(f"artefacts in {out}")
+    return _report_failures([f for st in stages for f in st.failures])
+
+
 def _scale_preset(args):
     """Resolve the preset plus the common CLI overrides."""
     preset = get_preset(args.preset)
@@ -436,13 +442,6 @@ def _scale_preset(args):
     if getattr(args, "replicas", None):
         preset = preset.scaled(replicas=args.replicas)
     return preset
-
-
-def _cache_dir(args, default=None):
-    """Resolve the ``--artifact-cache``/``--no-artifact-cache`` pair."""
-    if getattr(args, "no_artifact_cache", False):
-        return None
-    return args.artifact_cache or default
 
 
 def _cmd_cache(args) -> int:
@@ -489,7 +488,7 @@ def _cmd_figure8(args) -> int:
         workers=args.workers,
         ledger_path=args.resume,
         retries=args.retries,
-        artifact_cache=_cache_dir(args),
+        artifact_cache=args.artifact_cache,
         unit_timeout=args.unit_timeout,
     )
     print()
@@ -512,7 +511,7 @@ def _cmd_tables(args, static: bool) -> int:
             "unit_timeout": getattr(args, "unit_timeout", None),
         }
     )
-    kwargs["artifact_cache"] = _cache_dir(args)
+    kwargs["artifact_cache"] = args.artifact_cache
     result = runner(
         preset,
         ports_list=args.ports,
@@ -618,12 +617,7 @@ def _cmd_campaign(args) -> int:
         use_artifact_cache=not args.no_artifact_cache,
         unit_timeout=args.unit_timeout,
     )
-    for st in stages:
-        state = "skipped" if st.skipped else f"{st.seconds:.1f}s"
-        suffix = f"  ({len(st.failures)} unit(s) FAILED)" if st.failures else ""
-        print(f"{st.name:18s} {state}{suffix}")
-    print(f"artefacts in {out}")
-    return _report_failures([f for st in stages for f in st.failures])
+    return _report_stages(stages, out)
 
 
 def _cmd_work(args) -> int:
@@ -638,7 +632,6 @@ def _cmd_work(args) -> int:
         poll_interval=args.poll_interval,
         stale_scans=args.stale_scans,
         poison_after=args.poison_after,
-        shared_cache=args.shared_cache,
     )
     say = _progress(args.quiet)
     say(f"[work] worker {config.worker} joining {campaign_dir}")
@@ -654,12 +647,7 @@ def _cmd_work(args) -> int:
         distributed=config,
         unit_timeout=args.unit_timeout,
     )
-    for st in stages:
-        state = "skipped" if st.skipped else f"{st.seconds:.1f}s"
-        suffix = f"  ({len(st.failures)} unit(s) FAILED)" if st.failures else ""
-        print(f"{st.name:18s} {state}{suffix}")
-    print(f"artefacts in {campaign_dir}")
-    return _report_failures([f for st in stages for f in st.failures])
+    return _report_stages(stages, campaign_dir)
 
 
 def _cmd_live_faults(args) -> int:
@@ -708,7 +696,7 @@ def _cmd_live_faults(args) -> int:
         policy=args.policy,
         seed=preset.seed,
         progress=_progress(args.quiet),
-        artifact_cache=_cache_dir(args),
+        artifact_cache=args.artifact_cache,
     )
     print()
     print(render_live_fault_table(results))

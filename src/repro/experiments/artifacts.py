@@ -57,7 +57,7 @@ import hashlib
 import json
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -119,40 +119,40 @@ def _payload_checksum(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _validated_entry_raw(
-    path: Path, kind: str
-) -> Tuple[Optional[str], Optional[str], bool]:
-    """Validate one entry file: ``(raw, payload, suspect)``.
+def _validated_entry(
+    path: Path, kind: Optional[str] = None
+) -> Tuple[Optional[str], bool]:
+    """Validate one entry file: ``(payload, suspect)``.
 
-    ``raw`` is the exact byte-for-byte text that passed validation
-    (what a shared-tier import republishes), ``payload`` the body after
-    the header line; both are ``None`` when the entry is missing or
-    fails any check.  ``suspect`` distinguishes "file exists but is
-    unreadable/torn/mismatched" (counted ``corrupt`` by callers) from a
-    plain miss.
+    ``payload`` is the body after the header line, ``None`` when the
+    entry is missing or fails any check: format tag, payload checksum
+    and, when *kind* is given, the header's kind.  ``suspect``
+    distinguishes "file exists but is unreadable/torn/mismatched"
+    (counted ``corrupt`` by readers, reported by :func:`verify_store`)
+    from a plain miss.
     """
     try:
         raw = path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        return None, None, False
+        return None, False
     except OSError:
-        return None, None, True
+        return None, True
     nl = raw.find("\n")
     if nl < 0:
-        return None, None, True
+        return None, True
     try:
         header = json.loads(raw[:nl])
     except json.JSONDecodeError:
-        return None, None, True
+        return None, True
     payload = raw[nl + 1 :]
     if (
         not isinstance(header, dict)
         or header.get("format") != ARTIFACT_FORMAT
-        or header.get("kind") != kind
+        or (kind is not None and header.get("kind") != kind)
         or header.get("payload_sha256") != _payload_checksum(payload)
     ):
-        return None, None, True
-    return raw, payload, False
+        return None, True
+    return payload, False
 
 
 def tree_key_digest(topology: Topology, method: str, seed: int) -> str:
@@ -174,7 +174,7 @@ class CacheCounters:
 
     hits: int = 0  # disk hits (checksum-verified, decoded)
     memory_hits: int = 0  # served from the in-process LRU
-    shared_hits: int = 0  # imported from the multi-host shared tier
+    shared_hits: int = 0  # always 0 (no shared tier); trace tools read it
     misses: int = 0  # built from scratch
     corrupt: int = 0  # entries dropped for a failed checksum/decode
     publish_skipped: int = 0  # lock was busy; built but not published
@@ -196,14 +196,9 @@ class ArtifactCache:
     non-blocking per-entry lock.  ``max_memory_entries`` bounds the
     in-process decoded-object LRU (0 disables it).
 
-    *shared_root* adds an optional multi-host **read-through tier** (a
-    store directory on a shared filesystem): a local miss consults the
-    shared store, verifies the entry's payload checksum *before*
-    import, copies it into the local store and serves it (counted as
-    ``shared_hits``); local builds are additionally published to the
-    shared tier so peers benefit.  A corrupted shared entry fails its
-    checksum on import and is ignored — a bad peer can slow this host
-    down (it rebuilds), but can never poison its results.
+    Workers on several hosts share constructions by pointing *root* at
+    one directory on a shared filesystem: publishes use host-qualified
+    temp names and counter flushes run under a flock.
 
     *root* ``None`` keeps the in-process tier alone: nothing is encoded,
     written or tallied on disk, which suits a run that executes in one
@@ -214,14 +209,10 @@ class ArtifactCache:
         self,
         root: Optional[Union[str, Path]],
         max_memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-        shared_root: Optional[Union[str, Path]] = None,
     ) -> None:
         self.root = None if root is None else Path(root)
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
-        self.shared_root = Path(shared_root) if shared_root else None
-        if self.shared_root is not None:
-            self.shared_root.mkdir(parents=True, exist_ok=True)
         self.counters = CacheCounters()
         self._flushed: Dict[str, int] = {}
         self._memory: "OrderedDict[str, object]" = OrderedDict()
@@ -252,7 +243,7 @@ class ArtifactCache:
 
     # -- on-disk store -------------------------------------------------
     def _read(self, digest: str, kind: str) -> Optional[str]:
-        """Checksum-verified payload of one local entry, or ``None``.
+        """Checksum-verified payload of one entry, or ``None``.
 
         Anything suspect — unreadable file, malformed header, format or
         kind mismatch, checksum failure (a torn write SIGKILL'd
@@ -262,38 +253,15 @@ class ArtifactCache:
         """
         if self.root is None:
             return None
-        _raw, payload, suspect = _validated_entry_raw(
-            self.entry_path(digest), kind
-        )
+        payload, suspect = _validated_entry(self.entry_path(digest), kind)
         if suspect:
             self.counters.corrupt += 1
         return payload
 
-    def _import_shared(self, digest: str, kind: str) -> Optional[str]:
-        """Read-through: verified import of one shared-tier entry.
-
-        The entry's bytes are checksum-verified *before* anything is
-        copied into the local store, and the exact verified bytes are
-        what gets published (atomically, under the entry's local lock) —
-        so a corrupted or half-written peer entry can never enter the
-        local tier, and a reader never observes a torn import.
-        """
-        if self.shared_root is None:
-            return None
-        raw, payload, suspect = _validated_entry_raw(
-            self.shared_root / f"{digest}.json", kind
-        )
-        if suspect:
-            self.counters.corrupt += 1
-        if payload is None or raw is None:
-            return None
-        # re-publish the verified bytes locally; a busy lock just skips
-        # (the payload itself is already safe to serve either way)
-        self._publish_to(self.root, digest, raw)
-        return payload
-
-    def _publish_to(self, root: Path, digest: str, data: str) -> bool:
-        """Atomically publish one entry file into *root*.
+    def _publish(
+        self, digest: str, kind: str, key: Dict[str, object], payload: str
+    ) -> None:
+        """Atomically publish one entry file.
 
         Written through :func:`repro.util.fsio.atomic_write_text`:
         readers only ever see a complete entry under the final name, and
@@ -305,25 +273,6 @@ class ArtifactCache:
         content under the same name).  Publishes of different entries
         never contend.
         """
-        lock_fh = open(root / f"{digest}.lock", "a")
-        try:
-            if fcntl is not None:
-                try:
-                    fcntl.flock(lock_fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-                except OSError:
-                    self.counters.publish_skipped += 1
-                    return False
-            atomic_write_text(root / f"{digest}.json", data)
-            self.counters.bytes_written += len(data)
-            return True
-        finally:
-            lock_fh.close()  # closing drops the flock
-
-    def _publish(
-        self, digest: str, kind: str, key: Dict[str, object], payload: str
-    ) -> bool:
-        """Publish one entry locally and, when configured, to the
-        shared tier (each atomically, each skipping on a busy lock)."""
         header = json.dumps(
             {
                 "format": ARTIFACT_FORMAT,
@@ -336,10 +285,18 @@ class ArtifactCache:
             separators=(",", ":"),
         )
         data = header + "\n" + payload
-        published = self._publish_to(self.root, digest, data)
-        if self.shared_root is not None:
-            self._publish_to(self.shared_root, digest, data)
-        return published
+        lock_fh = open(self.root / f"{digest}.lock", "a")
+        try:
+            if fcntl is not None:
+                try:
+                    fcntl.flock(lock_fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except OSError:
+                    self.counters.publish_skipped += 1
+                    return
+            atomic_write_text(self.entry_path(digest), data)
+            self.counters.bytes_written += len(data)
+        finally:
+            lock_fh.close()  # closing drops the flock
 
     # -- generic get-or-build ------------------------------------------
     def get_or_build(
@@ -350,17 +307,13 @@ class ArtifactCache:
         encode: Callable[[object], str],
         decode: Callable[[str], object],
     ):
-        """The cache protocol: memory LRU, local disk, shared tier,
-        then build+publish."""
+        """The cache protocol: memory LRU, disk, then build+publish."""
         digest = artifact_digest(kind, key)
         obj = self._memory_get(digest)
         if obj is not None:
             self.counters.memory_hits += 1
             return obj
         payload = self._read(digest, kind)
-        shared = payload is None
-        if shared:
-            payload = self._import_shared(digest, kind)
         if payload is not None:
             try:
                 obj = decode(payload)
@@ -369,10 +322,7 @@ class ArtifactCache:
                 # with a refreshed checksum): drop and rebuild
                 self.counters.corrupt += 1
             else:
-                if shared:
-                    self.counters.shared_hits += 1
-                else:
-                    self.counters.hits += 1
+                self.counters.hits += 1
                 self._memory_put(digest, obj)
                 return obj
         obj = build()
@@ -553,25 +503,7 @@ def verify_store(root: Union[str, Path]) -> Tuple[int, List[str]]:
     corrupt: List[str] = []
     files = _entry_files(root)
     for p in files:
-        try:
-            raw = p.read_text(encoding="utf-8")
-        except OSError:
-            corrupt.append(p.name)
-            continue
-        nl = raw.find("\n")
-        ok = False
-        if nl >= 0:
-            try:
-                header = json.loads(raw[:nl])
-                ok = (
-                    isinstance(header, dict)
-                    and header.get("format") == ARTIFACT_FORMAT
-                    and header.get("payload_sha256")
-                    == _payload_checksum(raw[nl + 1 :])
-                )
-            except json.JSONDecodeError:
-                ok = False
-        if not ok:
+        if _validated_entry(p)[1]:
             corrupt.append(p.name)
     counters_path = Path(root) / "counters.jsonl"
     try:
@@ -627,29 +559,22 @@ _PROCESS_CACHE: Optional[ArtifactCache] = None
 
 def set_process_cache(
     path: Optional[Union[str, Path, ArtifactCache]],
-    shared: Optional[Union[str, Path]] = None,
 ) -> Optional[ArtifactCache]:
     """(Re)bind the process-wide cache and return it.  ``None`` disables
-    it; an :class:`ArtifactCache` instance is bound as is (*shared*
-    ignored); a store path keeps the bound instance when its roots match.
+    it; an :class:`ArtifactCache` instance is bound as is; a store path
+    keeps the bound instance when its root matches.
 
     This is the one way ``repro`` opens a store: the pool initializer
     binds through it, and so does every entry point handed a store
     path, so all work in a process shares one instance (and therefore
-    one decoded-object LRU) per store.  *shared* names the optional
-    multi-host read-through tier behind the local store.
+    one decoded-object LRU) per store.
     """
     global _PROCESS_CACHE
     if path is None or isinstance(path, ArtifactCache):
         _PROCESS_CACHE = path
         return path
-    shared_root = Path(shared) if shared is not None else None
-    if (
-        _PROCESS_CACHE is None
-        or _PROCESS_CACHE.root != Path(path)
-        or _PROCESS_CACHE.shared_root != shared_root
-    ):
-        _PROCESS_CACHE = ArtifactCache(path, shared_root=shared)
+    if _PROCESS_CACHE is None or _PROCESS_CACHE.root != Path(path):
+        _PROCESS_CACHE = ArtifactCache(path)
     return _PROCESS_CACHE
 
 

@@ -25,7 +25,8 @@ The lease protocol, in full:
   heartbeat ``counter`` starting at 0, and the ``prior`` list of
   workers that previously died holding this unit.
 * **Renew** — while executing, a heartbeat thread republishes the lease
-  every ``renew_interval`` seconds with an incremented counter
+  every ``poll_interval / 2`` seconds (at least 50 ms) with an
+  incremented counter
   (write-to-temp + ``os.replace``; readers never see a torn lease).
 * **Staleness** — a lease is presumed stale only after its *identity*
   (worker, counter — or the content hash of an unparsable lease) has
@@ -40,7 +41,7 @@ The lease protocol, in full:
 * **Takeover** — a survivor re-reads the stale lease, verifies the
   identity is *still* unchanged, unlinks it and re-claims with
   ``O_EXCL``, appending the dead worker to ``prior``.  Takeover is
-  bounded by ``takeover_retries``; losing every race simply means some
+  bounded by :data:`TAKEOVER_RETRIES`; losing every race simply means some
   other survivor owns the unit now.  The one residual race — the old
   holder was alive after all and renews over the new claim — yields two
   workers executing the same unit, which the merge deduplicates.
@@ -85,7 +86,7 @@ from repro.experiments.parallel import (
     UnitFailure,
     WorkUnit,
     _worker_init,
-    execute_unit,
+    execute_task,
 )
 from repro.util.fsio import atomic_write_text
 
@@ -95,6 +96,9 @@ POISON_DIR = "poison"
 
 #: ledger shard prefix; one shard per worker, single-writer each
 SHARD_PREFIX = "ledger_"
+
+#: claim attempts against other survivors racing for one stale lease
+TAKEOVER_RETRIES = 3
 
 
 def default_worker_id() -> str:
@@ -136,17 +140,11 @@ class WorkerConfig:
     *poll_interval* is the idle re-scan period; a lease whose identity
     is unchanged across *stale_scans* consecutive scans is presumed
     dead (so takeover latency is about ``poll_interval * stale_scans``
-    — crank it up on filesystems with slow metadata propagation);
-    *renew_interval* (default ``poll_interval / 2``) must comfortably
-    undercut that product or live workers get robbed.  *poison_after*
+    — crank it up on filesystems with slow metadata propagation); the
+    heartbeat renews every ``poll_interval / 2``, well under that
+    product, so live workers are never robbed.  *poison_after*
     quarantines a unit once that many *distinct* workers died holding
-    it; *takeover_retries* bounds claim attempts against other
-    survivors racing for the same stale lease.
-
-    *shared_cache* optionally names a shared read-through artifact
-    tier: workers publish constructions to it and import each other's
-    entries checksum-verified (see
-    :class:`~repro.experiments.artifacts.ArtifactCache`).
+    it.
     """
 
     campaign_dir: Path
@@ -154,9 +152,6 @@ class WorkerConfig:
     poll_interval: float = 0.5
     stale_scans: int = 4
     poison_after: int = 2
-    takeover_retries: int = 3
-    renew_interval: Optional[float] = None
-    shared_cache: Optional[Path] = None
 
     def stage_dir(self, stage: str) -> Path:
         """The coordination directory of one campaign stage."""
@@ -164,8 +159,6 @@ class WorkerConfig:
 
     @property
     def heartbeat_interval(self) -> float:
-        if self.renew_interval is not None:
-            return self.renew_interval
         return max(0.05, self.poll_interval / 2.0)
 
 
@@ -502,11 +495,12 @@ def run_distributed(
     Units execute serially in this process (scale by launching more
     workers); each claimed unit gets bounded *retries* and the
     per-unit *unit_timeout* watchdog of
-    :func:`~repro.experiments.parallel.execute_unit`, so a hung
+    :func:`~repro.experiments.parallel.execute_task`, so a hung
     simulation is charged a failed attempt instead of renewing its
-    lease forever.  Units construct through the store at *cache_path*,
-    or without one through an in-process cache; the caller's binding
-    is restored on return.
+    lease forever.  Units construct through the store at *cache_path*
+    (workers of one campaign share ``<campaign>/artifact_cache``), or
+    without one through an in-process cache; the caller's binding is
+    restored on return.
     """
     units = list(units)
     total = len(units)
@@ -532,8 +526,7 @@ def run_distributed(
     # the own-lease instant-reclaim rule depends on
     ledger = ResultLedger(stage_dir / f"{SHARD_PREFIX}{worker}.jsonl")
     previous_cache = _worker_init(
-        None if cache_path is None else str(cache_path),
-        None if config.shared_cache is None else str(config.shared_cache),
+        None if cache_path is None else str(cache_path)
     )
     try:
         while True:
@@ -582,7 +575,7 @@ def run_distributed(
                             identity,
                             worker,
                             key,
-                            config.takeover_retries,
+                            TAKEOVER_RETRIES,
                         )
                         if prior is not None and state == "garbage":
                             say(
@@ -611,7 +604,9 @@ def run_distributed(
                     attempt = 1
                     while True:
                         try:
-                            res = execute_unit(units[i], attempt, unit_timeout)
+                            (res,) = execute_task(
+                                [units[i]], attempt, unit_timeout
+                            )
                         except Exception as exc:
                             if attempt > budget:
                                 ledger.append_failed(

@@ -70,7 +70,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    TypeVar,
     Union,
 )
 
@@ -99,8 +98,6 @@ from repro.util.wallclock import Clock, resolve_clock
 
 if TYPE_CHECKING:  # import cycle-free annotation only
     from repro.experiments.distributed import WorkerConfig
-
-_T = TypeVar("_T")
 
 #: default extra attempts per unit after its first failure
 DEFAULT_RETRIES = 2
@@ -354,17 +351,28 @@ def _arm_watchdog(
     return disarm
 
 
-def _watched(
-    run: Callable[[], _T],
-    first: WorkUnit,
-    attempt: int,
-    budget: Optional[float],
-) -> _T:
-    """Run *run* under the wall-time watchdog and the test fault hook.
+def execute_task(
+    task: Sequence[WorkUnit],
+    attempt: int = 1,
+    unit_timeout: Optional[float] = None,
+) -> List[Dict[str, object]]:
+    """Entry point of every executor: one result dict per unit of *task*.
 
-    The hook (:data:`TEST_FAULT_ENV`) fires when *first* — the task's
-    lead unit — runs the named algorithm within its attempt bound.
+    *task* is one unit or a folded replica group (1..R sibling units,
+    see :func:`run_unit_group`); the serial loop, the pool and
+    :func:`~repro.experiments.distributed.run_distributed` all call
+    this.  *unit_timeout* bounds each unit's wall time: a hung
+    simulation is interrupted by :class:`UnitTimeout` (SIGALRM, armed
+    only on the executing process's main thread) and flows through the
+    ordinary retry machinery instead of stalling collection.  A group's
+    budget scales with its size: the fused sweep does the work of
+    ``len(task)`` units.
+
+    The test fault hook (:data:`TEST_FAULT_ENV`) fires when the task's
+    lead unit runs the named algorithm within its attempt bound.
     """
+    first = task[0]
+    budget = None if unit_timeout is None else unit_timeout * len(task)
     disarm = _arm_watchdog(budget)
     try:
         spec = os.environ.get(TEST_FAULT_ENV)
@@ -381,63 +389,18 @@ def _watched(
                 raise RuntimeError(
                     f"injected test fault: {first.key()} attempt={attempt}"
                 )
-        result = run()
+        if len(task) == 1:
+            results = [run_unit(first)]
+        else:
+            results = run_unit_group(task)
     finally:
         overrun = None if disarm is None else disarm()
     if overrun is not None:
         raise overrun  # the alarm fired but its raise was swallowed
-    return result
+    return results
 
 
-def execute_unit(
-    unit: WorkUnit,
-    attempt: int = 1,
-    unit_timeout: Optional[float] = None,
-) -> Dict[str, object]:
-    """Pool/serial entry point: watchdog + test fault hook + :func:`run_unit`.
-
-    *unit_timeout* bounds the unit's wall time: a hung simulation is
-    interrupted by :class:`UnitTimeout` (SIGALRM, armed only on the
-    executing process's main thread) and flows through the ordinary
-    retry machinery instead of stalling collection.
-    """
-    return _watched(lambda: run_unit(unit), unit, attempt, unit_timeout)
-
-
-def execute_unit_group(
-    group: Sequence[WorkUnit],
-    attempt: int = 1,
-    unit_timeout: Optional[float] = None,
-) -> List[Dict[str, object]]:
-    """Pool/serial entry point for a folded replica group.
-
-    Mirrors :func:`execute_unit` around :func:`run_unit_group`.  The
-    wall-time budget scales with the group size: the fused sweep does
-    the work of ``len(group)`` units, so each member still gets
-    *unit_timeout* seconds of budget on average.
-    """
-    budget = None if unit_timeout is None else unit_timeout * len(group)
-    return _watched(lambda: run_unit_group(group), group[0], attempt, budget)
-
-
-def _execute_task(
-    task_units: List[WorkUnit],
-    attempt: int = 1,
-    unit_timeout: Optional[float] = None,
-) -> List[Dict[str, object]]:
-    """Pool entry point for one scheduling task (1..R sibling units).
-
-    Normalises the return shape to one result dict per member so the
-    collector treats folded and singleton tasks identically.
-    """
-    if len(task_units) == 1:
-        return [execute_unit(task_units[0], attempt, unit_timeout)]
-    return execute_unit_group(task_units, attempt, unit_timeout)
-
-
-def _worker_init(
-    cache_path: Optional[str], shared_cache_path: Optional[str] = None
-) -> Optional[ArtifactCache]:
+def _worker_init(cache_path: Optional[str]) -> Optional[ArtifactCache]:
     """Bind the run's artifact cache in this process; return the old one.
 
     The pool initializer, and the binder of the serial and distributed
@@ -447,15 +410,10 @@ def _worker_init(
     depend on whether a cache is in use.  Without *cache_path* the
     process gets an in-memory-only ``ArtifactCache(None)``, so its
     units still build each (topology, tree, routing) once instead of
-    once per unit.  *shared_cache_path* adds the optional multi-host
-    read-through tier (entries checksum-verified on import; see
-    :class:`~repro.experiments.artifacts.ArtifactCache`).
+    once per unit.
     """
     previous = process_cache()
-    if cache_path is None:
-        set_process_cache(ArtifactCache(None))
-    else:
-        set_process_cache(cache_path, shared=shared_cache_path)
+    set_process_cache(ArtifactCache(None) if cache_path is None else cache_path)
     return previous
 
 
@@ -637,7 +595,7 @@ def run_parallel(
                 attempt = 1
                 while True:
                     try:
-                        res_list = _execute_task(
+                        res_list = execute_task(
                             [units[i] for i in task], attempt, unit_timeout
                         )
                     except Exception as exc:
@@ -712,7 +670,7 @@ def run_parallel(
                 task, attempt = pending.popleft()
                 try:
                     fut = pool.submit(
-                        _execute_task,
+                        execute_task,
                         [units[i] for i in task],
                         attempt,
                         unit_timeout,

@@ -8,7 +8,7 @@ throughputs and minimal latencies per series).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.experiments.figure8 import Figure8Result
 from repro.experiments.tables import TABLE_METRICS, TablesResult

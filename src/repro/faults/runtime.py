@@ -36,12 +36,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.faults.controller import ReconfigurationController
-from repro.faults.schedule import (
-    LINK_DOWN,
-    LINK_UP,
-    SWITCH_DOWN,
-    FaultSchedule,
-)
+from repro.faults.schedule import LINK_DOWN, LINK_UP, FaultSchedule
 
 #: Fault policies for worms caught crossing a dying link.
 FAULT_POLICIES = ("drop", "drain")

@@ -23,7 +23,7 @@ cycle-accurate engine:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.topology.graph import Topology
 from repro.topology.validation import find_bridges

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.routing.base import TurnModel, first_seen_ids
-from repro.topology.graph import Topology
 
 
 def dependency_adjacency(turn_model: TurnModel) -> List[List[int]]:

@@ -23,7 +23,7 @@ VC ``0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Union
 
 import numpy as np
 

@@ -41,7 +41,7 @@ and as a sanity anchor for the family.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

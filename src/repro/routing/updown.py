@@ -21,7 +21,7 @@ Two spanning-tree variants are provided:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 

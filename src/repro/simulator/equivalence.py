@@ -55,7 +55,7 @@ and :func:`repro.experiments.ledger.unit_digest`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -10,7 +10,7 @@ specific paths).
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 from repro.core.communication_graph import CommunicationGraph
 from repro.core.coordinated_tree import TreeMethod, build_coordinated_tree

@@ -77,7 +77,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -85,7 +84,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 

@@ -8,7 +8,7 @@ the paper's Figure 1(c)/(d) style drawings.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.communication_graph import CommunicationGraph
 from repro.core.coordinated_tree import CoordinatedTree

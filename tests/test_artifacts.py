@@ -276,16 +276,6 @@ class TestCountersAndInspection:
         set_process_cache(None)
         assert process_cache() is None
 
-    def test_process_cache_rebinds_on_shared_tier_change(self, tmp_path):
-        set_process_cache(tmp_path / "a")
-        first = process_cache()
-        set_process_cache(tmp_path / "a", shared=tmp_path / "shared")
-        second = process_cache()
-        assert second is not first
-        assert second.shared_root == tmp_path / "shared"
-        set_process_cache(tmp_path / "a", shared=tmp_path / "shared")
-        assert process_cache() is second
-
     def test_serial_run_restores_caller_binding(self, units, tmp_path):
         # a storeless serial run binds an in-memory cache for itself
         # only; the caller's binding is back when it returns
@@ -328,55 +318,6 @@ class TestCountersAndInspection:
         assert corrupt == ["counters.jsonl (2 unreadable line(s))"]
         # the audit reports; reading still works (garbage skipped)
         assert read_counters(store)["misses"] == 1
-
-
-class TestSharedTier:
-    """The multi-host read-through artifact tier (``shared_root``)."""
-
-    def test_local_build_publishes_to_shared(self, tmp_path):
-        shared = tmp_path / "shared"
-        a = ArtifactCache(tmp_path / "host_a", shared_root=shared)
-        _blob(a, 1, "payload")
-        assert a.counters.misses == 1
-        assert verify_store(shared) == (1, [])
-
-    def test_local_miss_imports_verified_shared_entry(self, tmp_path):
-        shared = tmp_path / "shared"
-        a = ArtifactCache(tmp_path / "host_a", shared_root=shared)
-        _blob(a, 1, "payload")
-
-        b = ArtifactCache(tmp_path / "host_b", shared_root=shared)
-        # build callback must not run: the shared tier serves the entry
-        got = b.get_or_build(
-            "blob", {"i": 1},
-            lambda: pytest.fail("shared hit must not rebuild"),
-            lambda s: s, lambda s: s,
-        )
-        assert got == "payload"
-        assert b.counters.shared_hits == 1 and b.counters.misses == 0
-        # the import republished the exact verified bytes locally: a
-        # third opener of host_b's store gets a plain local hit
-        c = ArtifactCache(tmp_path / "host_b")
-        assert _blob(c, 1, "never") == "payload"
-        assert c.counters.hits == 1
-        assert verify_store(tmp_path / "host_b") == (1, [])
-
-    def test_corrupt_shared_entry_rebuilt_not_imported(self, tmp_path):
-        """A bad peer can cost a rebuild, never poison results."""
-        shared = tmp_path / "shared"
-        a = ArtifactCache(tmp_path / "host_a", shared_root=shared)
-        _blob(a, 1, "payload")
-        digest = artifact_digest("blob", {"i": 1})
-        entry = shared / f"{digest}.json"
-        entry.write_bytes(entry.read_bytes() + b"tampered")
-
-        b = ArtifactCache(tmp_path / "host_b", shared_root=shared)
-        assert _blob(b, 1, "rebuilt") == "rebuilt"
-        assert b.counters.corrupt == 1
-        assert b.counters.misses == 1 and b.counters.shared_hits == 0
-        # the rebuild repaired both tiers with complete verified entries
-        assert verify_store(tmp_path / "host_b") == (1, [])
-        assert verify_store(shared) == (1, [])
 
 
 class TestBitIdentity:

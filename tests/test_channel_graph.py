@@ -1,7 +1,6 @@
 """Tests for the channel dependency graph and turn-restricted BFS."""
 
 import numpy as np
-import pytest
 
 from repro.routing.base import TurnModel
 from repro.routing.channel_graph import (

@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coordinated_tree import (
-    CoordinatedTree,
-    TreeMethod,
-    build_coordinated_tree,
-)
+from repro.core.coordinated_tree import TreeMethod, build_coordinated_tree
 from repro.topology.generator import random_irregular_topology
 from repro.topology.graph import Topology
 

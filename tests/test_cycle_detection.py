@@ -1,7 +1,5 @@
 """Tests for Phase 3 (cycle_detection / the generic release engine)."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +12,6 @@ from repro.core.downup import down_up_turn_model
 from repro.routing.channel_graph import find_turn_cycle
 from repro.routing.release import count_prohibited_pairs, release_prohibited_turns
 from repro.topology.generator import random_irregular_topology
-from repro.topology.graph import Topology
 
 
 def downup_tm(topo, method=TreeMethod.M1, rng=0, phase3=False):

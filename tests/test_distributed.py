@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+from repro.experiments.artifacts import ArtifactCache, read_counters, store_stats
 from repro.experiments.configs import get_preset
 from repro.experiments.distributed import (
     LEASE_DIR,
@@ -32,6 +33,7 @@ from repro.experiments.distributed import (
     try_claim,
 )
 from repro.experiments.figure8 import run_figure8
+from repro.experiments.harness import build_routings, make_topology
 from repro.experiments.ledger import ResultLedger, unit_digest
 from repro.experiments.parallel import (
     TEST_FAULT_ENV,
@@ -253,6 +255,37 @@ class TestSingleWorker:
         assert list((tmp_path / "stage" / LEASE_DIR).iterdir()) == []
         shards = sorted((tmp_path / "stage").glob("ledger_*.jsonl"))
         assert [p.name for p in shards] == ["ledger_w1.jsonl"]
+
+    def test_campaign_store_serves_a_fresh_reader(
+        self, tmp_path, units, clean_results
+    ):
+        """Workers share constructions through ``<campaign>/artifact_cache``:
+        every unit's topology, tree and routing is published there, and
+        a fresh store instance reads each one back from disk."""
+        store = tmp_path / "artifact_cache"
+        results = run_distributed(
+            units, tmp_path / "stage", fast_config(tmp_path, "w1"),
+            cache_path=store,
+        )
+        assert results == clean_results
+        # 1 topology + 1 tree (M1) + 2 routings, each built once
+        assert store_stats(store)["by_kind"] == {
+            "routing": 2,
+            "topology": 1,
+            "tree": 1,
+        }
+        assert read_counters(store)["misses"] == 4
+        reader = ArtifactCache(store)
+        for unit in units:
+            topology = make_topology(
+                unit.preset, unit.ports, unit.sample, cache=reader
+            )
+            build_routings(
+                topology, unit.preset, unit.sample, methods=(unit.method,),
+                algorithms=(unit.algorithm,), cache=reader,
+            )
+        assert reader.counters.hits == 4
+        assert reader.counters.misses == 0 and reader.counters.corrupt == 0
 
     def test_restart_resumes_own_shard(self, tmp_path, units, clean_results):
         stage = tmp_path / "stage"

@@ -4,11 +4,7 @@ patterns, and the link-failure resilience study."""
 import numpy as np
 import pytest
 
-from repro.analysis.resilience import (
-    _bridges,
-    degrade_topology,
-    resilience_study,
-)
+from repro.analysis.resilience import degrade_topology, resilience_study
 from repro.core.downup import build_down_up_routing
 from repro.routing.updown import build_up_down_routing
 from repro.routing.verification import verify_routing
@@ -17,6 +13,7 @@ from repro.simulator.traffic import LocalTraffic, TornadoTraffic
 from repro.topology import zoo
 from repro.topology.generator import random_irregular_topology
 from repro.topology.graph import Topology
+from repro.topology.validation import find_bridges
 
 
 class TestDeterministicMode:
@@ -116,15 +113,15 @@ class TestNewTrafficPatterns:
 class TestBridges:
     def test_line_all_bridges(self):
         t = zoo.line(4)
-        assert _bridges(t) == set(t.links)
+        assert find_bridges(t) == set(t.links)
 
     def test_ring_no_bridges(self):
-        assert _bridges(zoo.ring(5)) == set()
+        assert find_bridges(zoo.ring(5)) == set()
 
     def test_mixed(self):
         # triangle 0-1-2 plus pendant 3 on 2
         t = Topology(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-        assert _bridges(t) == {(2, 3)}
+        assert find_bridges(t) == {(2, 3)}
 
 
 class TestDegrade:

@@ -25,7 +25,6 @@ from repro.faults import (
     remap_routing,
     surviving_topology,
 )
-from repro.routing.base import RoutingFunction
 from repro.routing.duato import build_duato_routing
 from repro.routing.updown import build_up_down_routing
 from repro.simulator import (

@@ -1,7 +1,5 @@
 """Unit tests for Figure8Result post-processing (no simulation)."""
 
-import math
-
 from repro.experiments.figure8 import Figure8Result
 
 

@@ -30,7 +30,7 @@ from repro.experiments.parallel import (
     UnitTimeout,
     WorkUnit,
     default_max_workers,
-    execute_unit,
+    execute_task,
     figure8_units,
     run_parallel,
     run_unit,
@@ -503,10 +503,10 @@ class TestUnitWatchdog:
         monkeypatch.setenv(TEST_FAULT_ENV, "down-up:hang:9")
         hung = next(u for u in units if u.algorithm == "down-up")
         with pytest.raises(UnitTimeout, match="wall-time budget"):
-            execute_unit(hung, 1, 0.3)
+            execute_task([hung], 1, 0.3)
         monkeypatch.delenv(TEST_FAULT_ENV)
         # the timer was disarmed: a slow follow-up unit is not shot down
-        res = execute_unit(hung, 1, None)
+        (res,) = execute_task([hung], 1, None)
         assert res["key"] == hung.key()
 
     # the interpreter reports the discarded raise as unraisable
@@ -533,7 +533,7 @@ class TestUnitWatchdog:
         gc.callbacks.append(slow_callback)
         try:
             with pytest.raises(UnitTimeout, match="wall-time budget"):
-                execute_unit(units[0], 1, 0.01)
+                execute_task([units[0]], 1, 0.01)
         finally:
             gc.callbacks.remove(slow_callback)
 

@@ -1,4 +1,4 @@
-"""Guard against dead definitions in ``src/repro``.
+"""Guard against dead definitions in ``src/repro`` and unused imports.
 
 Every non-dunder function, method and class defined under
 ``src/repro`` must be named somewhere besides its own ``def``/``class``
@@ -12,6 +12,13 @@ as a whole word in any ``.py`` file under ``src/``, ``tests/``,
 ``src/repro``.  That over-approximates use (a same-named local
 variable or attribute keeps a definition alive), so the guard never
 flags live code, only definitions nobody can be reaching.
+
+The import check is syntactic: a module-level import (also inside a
+module-level ``if``/``try``) in ``src``, ``tests`` or ``examples`` must
+bind a name that the module reads somewhere, as a name or inside a
+string that parses as an expression (a quoted annotation, an
+``__all__`` entry).  Package ``__init__.py`` files re-export by
+importing, so they are exempt.
 """
 
 import ast
@@ -23,6 +30,7 @@ import repro
 
 ROOT = Path(repro.__file__).resolve().parents[2]
 SCANNED = ("src", "tests", "examples", "benchmarks")
+IMPORT_SCANNED = ("src", "tests", "examples")
 _WORD = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -62,3 +70,50 @@ def test_every_definition_is_named_elsewhere():
         "definitions named nowhere but at their own definition "
         "(delete them, or use them):\n" + "\n".join(dead)
     )
+
+
+def _module_imports(body):
+    """``(bound name, line)`` of every import among module-level *body*."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+        elif isinstance(node, (ast.If, ast.Try)):
+            nested = node.body + node.orelse + getattr(node, "finalbody", [])
+            for handler in getattr(node, "handlers", []):
+                nested += handler.body
+            yield from _module_imports(nested)
+
+
+def _names_read(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expr = ast.parse(node.value.strip(), mode="eval")
+            except SyntaxError:
+                continue
+            names.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_module_import_is_used():
+    unused = []
+    for top in IMPORT_SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            read = _names_read(tree)
+            unused += [
+                f"{path.relative_to(ROOT)}:{line}: {name}"
+                for name, line in _module_imports(tree.body)
+                if name not in read
+            ]
+    assert not unused, "unused module-level imports:\n" + "\n".join(unused)

@@ -17,11 +17,7 @@ import pytest
 from repro.core.communication_graph import CommunicationGraph
 from repro.core.coordinated_tree import build_coordinated_tree
 from repro.core.directions import Direction as D
-from repro.core.direction_graph import (
-    DOWN_UP_PROHIBITED_TURNS,
-    PAPER_SECTION_4_3_PRINTED_PT,
-    Turn,
-)
+from repro.core.direction_graph import PAPER_SECTION_4_3_PRINTED_PT, Turn
 from repro.core.downup import down_up_turn_model
 from repro.routing.channel_graph import find_turn_cycle
 from repro.simulator import DeadlockDetected, SimulationConfig, simulate

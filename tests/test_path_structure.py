@@ -23,7 +23,7 @@ from repro.core.coordinated_tree import build_coordinated_tree
 from repro.core.directions import Direction
 from repro.core.downup import build_down_up_routing
 from repro.routing.lturn import DL, DR, UL, UR, build_l_turn_routing
-from repro.routing.updown import DOWN, UP, build_up_down_routing
+from repro.routing.updown import DOWN, build_up_down_routing
 from repro.topology.generator import random_irregular_topology
 
 

@@ -20,8 +20,6 @@ pin that contract directly:
   and legacy ledger identities survive the new dataclass fields.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 

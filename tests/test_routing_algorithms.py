@@ -4,7 +4,6 @@ Every builder returns a verified routing function; these tests pin down
 the algorithm-specific structure beyond what verification guarantees.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.communication_graph import CommunicationGraph
@@ -27,8 +26,6 @@ from repro.routing.updown import (
     up_down_channel_classes,
 )
 from repro.routing.verification import verify_routing
-from repro.topology.generator import random_irregular_topology
-from repro.topology.graph import Topology
 
 
 class TestDownUp:

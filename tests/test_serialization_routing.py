@@ -15,7 +15,6 @@ from repro.routing.serialization import (
     save_routing,
 )
 from repro.routing.updown import build_up_down_routing
-from repro.topology.generator import random_irregular_topology
 from tests.helpers import v1_routing_payload
 
 

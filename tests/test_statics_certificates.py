@@ -26,7 +26,6 @@ from repro.statics import (
     recheck,
 )
 from repro.topology.generator import random_irregular_topology
-from repro.topology.graph import Topology
 
 BUILDERS = {
     "down-up": build_down_up_routing,

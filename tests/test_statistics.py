@@ -5,8 +5,6 @@ import math
 import pytest
 
 from repro.experiments.statistics import (
-    PairedComparison,
-    Summary,
     ks_distance,
     ks_threshold,
     normal_quantile,

@@ -17,7 +17,6 @@ from repro.routing.verification import (
     verify_routing,
 )
 from repro.topology import zoo
-from repro.topology.graph import Topology
 from tests.helpers import routing_from_rows
 
 
