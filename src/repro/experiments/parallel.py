@@ -289,8 +289,6 @@ def run_unit_group(group: Sequence[WorkUnit]) -> List[Dict[str, object]]:
     fold.  Partial groups — a resumed ledger already holding some
     siblings — are therefore just as foldable as full ones.
     """
-    if len(group) == 1:
-        return [run_unit(group[0])]
     first = group[0]
     routing, tree = _construct(first)
     base = _cell_seed(first)

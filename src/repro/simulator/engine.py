@@ -27,9 +27,10 @@ cycle *will* deadlock, which the watchdog turns into a loud
 :class:`DeadlockDetected` (exercised by tests).
 
 Everything around the clock step — queues, the clock driver and its
-watchdogs, packet generation, the fault hooks and the wait-for
-analysis — lives in :class:`SimulatorCore`, which this engine and the
-virtual-channel engine (:mod:`repro.simulator.vc_engine`) share.
+watchdogs, packet generation, the fault hooks, the wait-for analysis
+and the fast path's header arbitration — lives in
+:class:`SimulatorCore`, which this engine and the virtual-channel
+engine (:mod:`repro.simulator.vc_engine`) share.
 """
 
 from __future__ import annotations
@@ -80,6 +81,12 @@ class SimulatorCore:
     wait-for deadlock analysis and the stall timer); packet generation;
     and the fault hooks driven by :class:`repro.faults.FaultRuntime`.
 
+    It also holds the fast path's header arbitration, one mechanism for
+    both engines: the in-network request list in active order, the
+    ripening FIFO of headers inside their routing delay, and the
+    per-resource waiter lists of parked requests, rebuilt from scratch
+    after every fault hook or epoch change (:meth:`_rebuild_arbitration`).
+
     A subclass supplies the resource model.  Worm chains index the
     occupancy list ``_chain_occ`` (physical channels in
     :class:`WormholeSimulator`, virtual channels in
@@ -88,10 +95,11 @@ class SimulatorCore:
     anything moved.  The rest differs only on cold paths:
 
     * :meth:`phys` — the physical channel of a chain entry;
+    * :meth:`_header_request` — a routing-ready header's request, its
+      candidates given as ``_chain_occ`` indices;
     * :meth:`_wait_candidates` — the resources a blocked header waits
       on, for the wait-for analysis;
-    * :meth:`_invalidate_requests` and :meth:`_wake_worm` — what a
-      fault mutation or a decision-epoch change invalidates;
+    * :meth:`_wake_worm` — rescanning a worm a fault hook rewrote;
     * :meth:`_attach_routing` — pointing the decision caches at newly
       installed tables.
     """
@@ -152,6 +160,24 @@ class SimulatorCore:
         #: which step implementation runs ("reference" / "fast" /
         #: "batch"); resolved once — engine selection is per-run
         self.engine_name = config.resolved_engine
+        # -- fast-path arbitration state; kept incrementally, rebuilt
+        # from scratch by _rebuild_arbitration whenever _arb_stale is set
+        #: in-network header requests in active order, parked or not
+        self._reqs: List[tuple] = []
+        #: the requesting worms' ``seq`` keys, parallel to ``_reqs``
+        self._req_keys: List[int] = []
+        #: (due clock, worm) for granted headers inside their routing
+        #: delay; appends are due ``clock + _hdr_latency``, so FIFO order
+        #: is due order
+        self._ripening: Deque[Tuple[int, Worm]] = deque()
+        #: unparked in-network requests: arbitration visits only these
+        #: (plus the pending injection sources)
+        self._hot: List[tuple] = []
+        #: per-resource waiter lists — ``_chain_occ`` entries [0, R),
+        #: consumption ports [R, R + n) — of the requests parked there
+        self._waiters: List[List[tuple]] = []
+        self._next_seq = 0
+        self._arb_stale = True
 
     # ------------------------------------------------------------------
     # routing tables (epoch-atomic swap point)
@@ -186,6 +212,12 @@ class SimulatorCore:
             w.hdr_req = None
         self._invalidate_requests()
 
+    def _invalidate_requests(self) -> None:
+        """Candidate sets or resource state changed outside the step:
+        every parked request and the request list holding them are
+        rebuilt before the next fast clock (:meth:`_rebuild_arbitration`)."""
+        self._arb_stale = True
+
     # ------------------------------------------------------------------
     # public driver
     # ------------------------------------------------------------------
@@ -210,9 +242,9 @@ class SimulatorCore:
     def enable_invariant_checks(self) -> None:
         """Verify flit conservation for every worm each clock (tests).
 
-        The base engine's fast path also checks its arbitration state:
-        every parked request has all its resources busy and is on each
-        one's waiter list (:meth:`WormholeSimulator._check_parking`).
+        The fast path also checks its arbitration state: every parked
+        request has all its resources busy and is on each one's waiter
+        list (:meth:`_check_parking`).
         """
         self._check_invariants = True
 
@@ -262,6 +294,8 @@ class SimulatorCore:
         """Per-clock invariant checks (see :meth:`enable_invariant_checks`)."""
         for w in self.active:
             w.check_invariant()
+        if self.engine_name == "fast":
+            self._check_parking()
 
     def _generate_packets(self) -> None:
         p = self._gen_p
@@ -333,6 +367,193 @@ class SimulatorCore:
                     live.add(pid)
                     changed = True
         return [w for w in injected if w.pid not in live]
+
+    # ------------------------------------------------------------------
+    # fast-path header arbitration (both engines)
+    # ------------------------------------------------------------------
+    def _ripen(self, clock: int) -> None:
+        """Insert the headers whose routing delay ended by *clock* into
+        the request list, in active order and unparked."""
+        ripening = self._ripening
+        keys = self._req_keys
+        reqs = self._reqs
+        hot = self._hot
+        while ripening and ripening[0][0] <= clock:
+            w = ripening.popleft()[1]
+            req = w.hdr_req = self._header_request(w)
+            w.parked = False
+            i = bisect_left(keys, w.seq)
+            keys.insert(i, w.seq)
+            reqs.insert(i, req)
+            hot.append(req)
+
+    def _visit_order(self, inj_reqs: List[tuple]) -> List[tuple]:
+        """Draw this clock's arbitration permutation (the reference's
+        stream) and return the unparked requests in its order.
+
+        The permutation covers every request the reference builds: the
+        in-network list (parked requests included), then the requesting
+        sources in ascending order — the pending ones in *inj_reqs* and
+        the blocked ones on the wheel.  Starts a new unparked list.
+        """
+        keys = self._req_keys
+        hot = self._hot
+        self._hot = []
+        n_net = len(keys)
+        blocked = self._wheel.blocked
+        n_req = n_net + len(inj_reqs) + len(blocked)
+        if n_req:
+            perm = self.rng.permutation(n_req)
+            if len(hot) + len(inj_reqs) > 1:
+                pos = perm.argsort().tolist()  # request index -> rank
+                ranked = [(pos[bisect_left(keys, req[0].seq)], req) for req in hot]
+                for j, req in enumerate(inj_reqs):
+                    idx = n_net + j + bisect_left(blocked, req[0].src)
+                    ranked.append((pos[idx], req))
+                ranked.sort(key=itemgetter(0))
+                return [req for _, req in ranked]
+        return hot or inj_reqs
+
+    def _park(self, losers: List[tuple]) -> None:
+        """Park each of *losers*, whose resources are all busy, on every
+        one of those resources' waiter lists; block losing sources."""
+        waiters = self._waiters
+        n_res = len(self._chain_occ)
+        for req in losers:
+            w, origin, cands = req
+            w.parked = True
+            if origin is None:
+                waiters[n_res + w.dst].append(req)
+                continue
+            if cands.__class__ is int:
+                waiters[cands].append(req)
+            else:
+                for c in cands:
+                    waiters[c].append(req)
+            if origin == -1:
+                self._wheel.block(w.src)
+
+    def _wake_requests(self, r: int) -> None:
+        """Resource *r* was released: unpark the requests waiting on it.
+
+        Entries whose worm has moved on (granted, re-requested, or woken
+        through another resource) are stale and skipped.
+        """
+        waiting = self._waiters[r]
+        self._waiters[r] = []
+        hot = self._hot
+        for req in waiting:
+            w = req[0]
+            if w.parked and w.hdr_req is req:
+                w.parked = False
+                if req[1] == -1:
+                    self._wheel.wake(w.src)
+                else:
+                    hot.append(req)
+
+    def _rebuild_arbitration(self) -> None:
+        """Recompute the fast path's arbitration state from scratch.
+
+        Runs before the first fast clock and after every fault hook or
+        decision-epoch change: active worms are renumbered in active
+        order, every routing-ready header gets a fresh unparked request,
+        the others go on the ripening FIFO, and every blocked source is
+        made pending again.
+        """
+        clock = self.clock
+        reqs: List[tuple] = []
+        keys: List[int] = []
+        ripening: List[Tuple[int, Worm]] = []
+        for seq, w in enumerate(self.active):
+            w.seq = seq
+            w.hdr_req = None
+            w.parked = False
+            if w.consuming or not w.chain:
+                continue
+            if w.head_ready_at > clock:
+                ripening.append((w.head_ready_at, w))
+            else:
+                w.hdr_req = req = self._header_request(w)
+                reqs.append(req)
+                keys.append(seq)
+        ripening.sort(key=itemgetter(0))
+        self._next_seq = len(self.active)
+        self._reqs = reqs
+        self._req_keys = keys
+        self._ripening = deque(ripening)
+        self._hot = list(reqs)
+        self._waiters = [[] for _ in range(len(self._chain_occ) + self._n)]
+        self._wheel.wake_blocked()
+        self._arb_stale = False
+
+    def _check_parking(self) -> None:
+        """Assert the fast path's arbitration state (invariant mode).
+
+        The in-network request list plus the ripening FIFO hold exactly
+        the active headers not yet at their consumption port, in active
+        order; every unparked request will be visited next clock; and
+        every parked request — in-network or a blocked source — has
+        all its resources busy and sits on each one's waiter list.
+        """
+        if self._arb_stale:
+            return  # a fault hook ran; the next clock rebuilds
+        reqs = self._reqs
+        keys = self._req_keys
+        if keys != [req[0].seq for req in reqs] or any(
+            b <= a for a, b in zip(keys, keys[1:])
+        ):
+            raise AssertionError("request list is not in active order")
+        seqs = [w.seq for w in self.active]
+        if any(b <= a for a, b in zip(seqs, seqs[1:])):
+            raise AssertionError("active worms are not in seq order")
+        heads = {w.pid for w in self.active if w.chain and not w.consuming}
+        listed = [req[0].pid for req in reqs] + [w.pid for _, w in self._ripening]
+        if sorted(listed) != sorted(heads):
+            raise AssertionError(
+                f"request list + ripening FIFO {sorted(listed)} != "
+                f"waiting headers {sorted(heads)}"
+            )
+        hot = {id(req) for req in self._hot}
+        occ = self._chain_occ
+        n_res = len(occ)
+        consume_occ = self.consume_occ
+        waiters = self._waiters
+
+        def check(req: tuple) -> None:
+            w, origin, cands = req
+            if w.hdr_req is not req:
+                raise AssertionError(f"worm {w.pid}: parked request is stale")
+            if origin is None:
+                resources = (n_res + w.dst,)
+            else:
+                resources = (cands,) if cands.__class__ is int else cands
+            for r in resources:
+                holder = occ[r] if r < n_res else consume_occ[r - n_res]
+                if holder == FREE:
+                    raise AssertionError(
+                        f"worm {w.pid} is parked on free resource {r}"
+                    )
+                if not any(x is req for x in waiters[r]):
+                    raise AssertionError(
+                        f"worm {w.pid} is parked but not on resource {r}'s "
+                        "waiter list"
+                    )
+
+        for req in reqs:
+            if req[0].parked:
+                check(req)
+            elif id(req) not in hot:
+                raise AssertionError(
+                    f"worm {req[0].pid}: unparked request would not be visited"
+                )
+        for s in self._wheel.blocked:
+            q = self.queues[s]
+            req = q[0].hdr_req if q else None
+            if req is None or req[1] != -1 or not q[0].parked:
+                raise AssertionError(f"blocked source {s} has no parked request")
+            if self.injection_occ[s] != FREE:
+                raise AssertionError(f"blocked source {s} holds its port")
+            check(req)
 
     # ------------------------------------------------------------------
     # fault hooks (driven by repro.faults.FaultRuntime)
@@ -582,25 +803,6 @@ class WormholeSimulator(SimulatorCore):
         #: the live list: active worms not known-quiet, i.e. the only
         #: ones the body-move scan must visit (fast path)
         self._live: List[Worm] = []
-        # -- fast-path arbitration state (see _move_fast); kept
-        # incrementally, rebuilt from scratch by _rebuild_arbitration
-        # on the fault / epoch path whenever _arb_stale is set
-        #: in-network header requests in active order, parked or not
-        self._reqs: List[tuple] = []
-        #: the requesting worms' ``seq`` keys, parallel to ``_reqs``
-        self._req_keys: List[int] = []
-        #: (due clock, worm) for granted headers inside their routing
-        #: delay; appends are due ``clock + _hdr_latency``, so FIFO order
-        #: is due order
-        self._ripening: Deque[Tuple[int, Worm]] = deque()
-        #: unparked in-network requests: arbitration visits only these
-        #: (plus the pending injection sources)
-        self._hot: List[tuple] = []
-        #: per-resource waiter lists — channels [0, C), consumption
-        #: ports [C, C + n) — of the requests parked on that resource
-        self._waiters: List[List[tuple]] = []
-        self._next_seq = 0
-        self._arb_stale = True
         if self.engine_name == "batch":
             # deferred import: batch_engine imports Worm from this module
             from repro.simulator.batch_engine import BatchCore
@@ -618,12 +820,6 @@ class WormholeSimulator(SimulatorCore):
     def _attach_routing(self, routing: RoutingFunction) -> None:
         self.decision_cache.attach(routing)
 
-    def _invalidate_requests(self) -> None:
-        """Candidate sets or resource state changed outside the step:
-        every parked request and the request list holding them are
-        rebuilt before the next fast clock (:meth:`_rebuild_arbitration`)."""
-        self._arb_stale = True
-
     def _wake_worm(self, w: Worm) -> None:
         """Put *w* back on the live list after an external mutation."""
         if w.quiet:
@@ -637,11 +833,6 @@ class WormholeSimulator(SimulatorCore):
     def _wait_candidates(self, w: Worm, head: int) -> Tuple[int, ...]:
         """Every admissible next channel of *w*'s header, free or not."""
         return self.routing.next_hops[w.dst][head]
-
-    def _check_state(self) -> None:
-        super()._check_state()
-        if self.engine_name == "fast":
-            self._check_parking()
 
     # ------------------------------------------------------------------
     # internals
@@ -986,17 +1177,9 @@ class WormholeSimulator(SimulatorCore):
         cache = self.decision_cache
         reqs = self._reqs
         keys = self._req_keys
-        hot = self._hot
         ripening = self._ripening
         if ripening and ripening[0][0] <= clock:
-            # routing delays that ended: insert in active order
-            while ripening and ripening[0][0] <= clock:
-                w = ripening.popleft()[1]
-                req = self._header_request(w)
-                i = bisect_left(keys, w.seq)
-                keys.insert(i, w.seq)
-                reqs.insert(i, req)
-                hot.append(req)
+            self._ripen(clock)
         # injection requests from the event wheel, in ascending source
         # order (matching the reference's full enumerate scan)
         timers = wheel._timers
@@ -1031,29 +1214,12 @@ class WormholeSimulator(SimulatorCore):
                 w.parked = False
                 inj_reqs.append(req)
 
-        # arbitrate in random order (identical stream to the reference):
-        # the permutation covers every request, parked or not, but only
-        # the unparked ones are visited, in permutation order
+        # arbitrate in random order (identical stream to the reference)
         grants: List[Tuple[Worm, int, int]] = []
         losers: List[tuple] = []
-        n_net = len(reqs)
-        blocked = wheel.blocked
-        n_req = n_net + len(inj_reqs) + len(blocked)
-        if n_req:
-            perm = self.rng.permutation(n_req)
-            if len(hot) + len(inj_reqs) > 1:
-                pos = perm.argsort().tolist()  # request index -> rank
-                ranked = [(pos[bisect_left(keys, req[0].seq)], req) for req in hot]
-                for j, req in enumerate(inj_reqs):
-                    idx = n_net + j + bisect_left(blocked, req[0].src)
-                    ranked.append((pos[idx], req))
-                ranked.sort(key=itemgetter(0))
-                visit = [req for _, req in ranked]
-            else:
-                visit = hot or inj_reqs
-            if visit:
-                self._arbitrate(visit, grants, losers)
-        self._hot = hot = []
+        visit = self._visit_order(inj_reqs)
+        if visit:
+            self._arbitrate(visit, grants, losers)
 
         # -- phase 3: commit -------------------------------------------
         hdr_latency = self._hdr_latency
@@ -1116,21 +1282,8 @@ class WormholeSimulator(SimulatorCore):
             self.injection_occ[s] = FREE
             wheel.wake(s)
         # every resource of a losing request is now busy: park it
-        waiters = self._waiters
-        n_ch = len(occ)
-        for req in losers:
-            w, origin, cands = req
-            w.parked = True
-            if origin is None:
-                waiters[n_ch + w.dst].append(req)
-                continue
-            if cands.__class__ is int:
-                waiters[cands].append(req)
-            else:
-                for c in cands:
-                    waiters[c].append(req)
-            if origin == -1:
-                wheel.block(w.src)
+        if losers:
+            self._park(losers)
 
         # -- phase 4: tail releases and completions ---------------------
         # Only worms that moved this clock (or were touched by a fault
@@ -1141,6 +1294,8 @@ class WormholeSimulator(SimulatorCore):
         # order, restored below on the rare multi-finish clock.  Each
         # release wakes the requests parked on that resource.
         finished: List[Worm] = []
+        waiters = self._waiters
+        n_ch = len(occ)
         for w in new_live:
             if w.t_inject is None:
                 continue
@@ -1155,18 +1310,14 @@ class WormholeSimulator(SimulatorCore):
                 cid = chain.pop()
                 cf.pop()
                 occ[cid] = FREE
-                ws = waiters[cid]
-                if ws:
-                    waiters[cid] = []
-                    self._wake_requests(ws, hot)
+                if waiters[cid]:
+                    self._wake_requests(cid)
             if w.consuming and w.consumed == w.length:
                 w.t_done = clock
                 w.quiet = True  # retire: evicts any stale live entry
                 self.consume_occ[w.dst] = FREE
-                ws = waiters[n_ch + w.dst]
-                if ws:
-                    waiters[n_ch + w.dst] = []
-                    self._wake_requests(ws, hot)
+                if waiters[n_ch + w.dst]:
+                    self._wake_requests(n_ch + w.dst)
                 finished.append(w)
         if finished:
             done_ids = {w.pid for w in finished}
@@ -1230,21 +1381,6 @@ class WormholeSimulator(SimulatorCore):
             occ[pick] = w.pid
             grants_append((w, origin, pick))
 
-    def _wake_requests(self, waiting: List[tuple], hot: List[tuple]) -> None:
-        """A resource was released: unpark the requests waiting on it.
-
-        Entries whose worm has moved on (granted, re-requested, or woken
-        through another resource) are stale and skipped.
-        """
-        for req in waiting:
-            w = req[0]
-            if w.parked and w.hdr_req is req:
-                w.parked = False
-                if req[1] == -1:
-                    self._wheel.wake(w.src)
-                else:
-                    hot.append(req)
-
     def _header_request(self, w: Worm) -> tuple:
         """The in-network request of *w*'s routing-ready header.
 
@@ -1256,122 +1392,9 @@ class WormholeSimulator(SimulatorCore):
         head = w.chain[0]
         dst = w.dst
         if self._sink[head] == dst:
-            req = (w, None, ())
-        else:
-            cache = self.decision_cache
-            row = cache._next_rows[dst]
-            if row is None:
-                row = cache.next_row(dst)
-            cands = row[head]
-            if len(cands) == 1:
-                cands = cands[0]
-            req = (w, head, cands)
-        w.hdr_req = req
-        w.parked = False
-        return req
-
-    def _rebuild_arbitration(self) -> None:
-        """Recompute the fast path's arbitration state from scratch.
-
-        Runs before the first fast clock and after every fault hook or
-        decision-epoch change: active worms are renumbered in active
-        order, every routing-ready header gets a fresh unparked request,
-        the others go on the ripening FIFO, and every blocked source is
-        made pending again.
-        """
-        clock = self.clock
-        reqs: List[tuple] = []
-        keys: List[int] = []
-        ripening: List[Tuple[int, Worm]] = []
-        for seq, w in enumerate(self.active):
-            w.seq = seq
-            w.hdr_req = None
-            w.parked = False
-            if w.consuming or not w.chain:
-                continue
-            if w.head_ready_at > clock:
-                ripening.append((w.head_ready_at, w))
-            else:
-                reqs.append(self._header_request(w))
-                keys.append(seq)
-        ripening.sort(key=itemgetter(0))
-        self._next_seq = len(self.active)
-        self._reqs = reqs
-        self._req_keys = keys
-        self._ripening = deque(ripening)
-        self._hot = list(reqs)
-        self._waiters = [[] for _ in range(len(self.channel_occ) + self._n)]
-        self._wheel.wake_blocked()
-        self._arb_stale = False
-
-    def _check_parking(self) -> None:
-        """Assert the fast path's arbitration state (invariant mode).
-
-        The in-network request list plus the ripening FIFO hold exactly
-        the active headers not yet at their consumption port, in active
-        order; every unparked request will be visited next clock; and
-        every parked request — in-network or a blocked source — has
-        all its resources busy and sits on each one's waiter list.
-        """
-        if self._arb_stale:
-            return  # a fault hook ran; the next clock rebuilds
-        reqs = self._reqs
-        keys = self._req_keys
-        if keys != [req[0].seq for req in reqs] or any(
-            b <= a for a, b in zip(keys, keys[1:])
-        ):
-            raise AssertionError("request list is not in active order")
-        seqs = [w.seq for w in self.active]
-        if any(b <= a for a, b in zip(seqs, seqs[1:])):
-            raise AssertionError("active worms are not in seq order")
-        heads = {w.pid for w in self.active if w.chain and not w.consuming}
-        listed = [req[0].pid for req in reqs] + [w.pid for _, w in self._ripening]
-        if sorted(listed) != sorted(heads):
-            raise AssertionError(
-                f"request list + ripening FIFO {sorted(listed)} != "
-                f"waiting headers {sorted(heads)}"
-            )
-        hot = {id(req) for req in self._hot}
-        n_ch = len(self.channel_occ)
-        occ = self.channel_occ
-        consume_occ = self.consume_occ
-        waiters = self._waiters
-
-        def check(req: tuple) -> None:
-            w, origin, cands = req
-            if w.hdr_req is not req:
-                raise AssertionError(f"worm {w.pid}: parked request is stale")
-            if origin is None:
-                resources = (n_ch + w.dst,)
-            else:
-                resources = (cands,) if cands.__class__ is int else cands
-            for r in resources:
-                holder = occ[r] if r < n_ch else consume_occ[r - n_ch]
-                if holder == FREE:
-                    raise AssertionError(
-                        f"worm {w.pid} is parked on free resource {r}"
-                    )
-                if not any(x is req for x in waiters[r]):
-                    raise AssertionError(
-                        f"worm {w.pid} is parked but not on resource {r}'s "
-                        "waiter list"
-                    )
-
-        for req in reqs:
-            if req[0].parked:
-                check(req)
-            elif id(req) not in hot:
-                raise AssertionError(
-                    f"worm {req[0].pid}: unparked request would not be visited"
-                )
-        for s in self._wheel.blocked:
-            q = self.queues[s]
-            req = q[0].hdr_req if q else None
-            if req is None or req[1] != -1 or not q[0].parked:
-                raise AssertionError(f"blocked source {s} has no parked request")
-            if self.injection_occ[s] != FREE:
-                raise AssertionError(f"blocked source {s} holds its port")
-            check(req)
+            return (w, None, ())
+        cands = self.decision_cache.next_row(dst)[head]
+        return (w, head, cands[0] if len(cands) == 1 else cands)
 
     def _select(self, avail: List[int]) -> int:
         """Pick one free candidate uniformly at random (the paper's rule:

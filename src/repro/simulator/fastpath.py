@@ -104,7 +104,7 @@ class DecisionCache:
         self._next_rows = [None] * self.routing.next_idx.shape[0]
         self._first_rows = [None] * self.routing.first_idx.shape[0]
 
-    # Engines read ``_next_rows`` / ``_first_rows`` directly and only
+    # Hot loops read ``_next_rows`` / ``_first_rows`` directly and only
     # call these on a miss, keeping the steady-state cost to one list
     # index per decision.
     def next_row(self, dest: int) -> List[Tuple[int, ...]]:
@@ -116,7 +116,9 @@ class DecisionCache:
         return self._row(self._first_rows, self.routing.first_idx, dest)
 
     def _row(self, rows: list, index, dest: int) -> List[Tuple[int, ...]]:
-        row = rows[dest] = self._objects[index[dest]].tolist()
+        row = rows[dest]
+        if row is None:
+            row = rows[dest] = self._objects[index[dest]].tolist()
         return row
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -17,9 +17,10 @@ virtual channels per physical channel:
   base engine.
 
 Queues, the clock driver and its watchdogs, packet generation, the
-fault hooks and the wait-for analysis come from
-:class:`~repro.simulator.engine.SimulatorCore`; this module holds only
-the VC resource model and its two step functions.
+fault hooks, the wait-for analysis and the fast path's header
+arbitration come from :class:`~repro.simulator.engine.SimulatorCore`;
+this module holds only the VC resource model, its header requests and
+its two step functions.
 
 Two VC allocation policies (:class:`VcPolicy`):
 
@@ -42,6 +43,7 @@ Two VC allocation policies (:class:`VcPolicy`):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 from repro.routing.base import RoutingFunction
@@ -100,10 +102,6 @@ class VirtualChannelSimulator(SimulatorCore):
             self._escape_cache = DecisionCache(routing.escape, self.dead_channels)
         else:
             self.decision_cache = DecisionCache(routing, self.dead_channels)
-        #: memoized in-network header-request list and the last clock
-        #: of its dirty window (fast path)
-        self._req_cache: Optional[List[tuple]] = None
-        self._req_dirty_until = -1
         #: engine selection: the VC engine runs only the bit-exact
         #: engines — its body commits are RNG-ordered under shared
         #: per-link budgets, inherently sequential, so there is no
@@ -148,15 +146,9 @@ class VirtualChannelSimulator(SimulatorCore):
             self._escape_cache.invalidate()
         super()._invalidate_decisions()
 
-    def _invalidate_requests(self) -> None:
-        """Drop the memoized request list and reopen its dirty window."""
-        self._req_cache = None
-        self._req_dirty_until = self.clock + self._hdr_latency
-
     def _wake_worm(self, w: Worm) -> None:
         """Rescan *w* after a fault hook rewrote its buffer state."""
         w.quiet = False
-        w.hdr_req = None
 
     # -- vc id helpers ---------------------------------------------------
     def phys(self, vcid: int) -> int:
@@ -191,7 +183,6 @@ class VirtualChannelSimulator(SimulatorCore):
             if head_vc is None:
                 phys_cands = r.first_hops[w.dst][w.src]
             else:
-                node = self._sink[self.phys(head_vc)]
                 phys_cands = r.next_hops[w.dst][self.phys(head_vc)]
             out: List[int] = []
             for c in phys_cands:
@@ -223,6 +214,39 @@ class VirtualChannelSimulator(SimulatorCore):
             if self.vc_occ[ev] == FREE:
                 out.append(ev)
         return out
+
+    def _candidate_vcs(self, w: Worm, head_vc: Optional[int]) -> Tuple[int, ...]:
+        """Every admissible VC for *w*'s header, free or not.
+
+        ``head_vc`` is None for injection.  Dead channels are excluded
+        (the decision caches pre-filter them) and the order is
+        :meth:`_header_candidates`' — under ``duato`` the adaptive
+        classes first, then the escape class.
+        """
+        V = self.V
+        dst = w.dst
+        if head_vc is None:
+            node = w.src
+            phys = self.decision_cache.first_row(dst)[node]
+        else:
+            p_head = head_vc // V
+            node = self._sink[p_head]
+            if self.duato and head_vc % V == 0:  # on escape: stay on it
+                return tuple(c * V for c in self._escape_cache.next_row(dst)[p_head])
+            phys = self.decision_cache.next_row(dst)[p_head]
+        if not self.duato:
+            return tuple(vc for c in phys for vc in range(c * V, c * V + V))
+        adaptive = tuple(vc for c in phys for vc in range(c * V + 1, c * V + V))
+        return adaptive + tuple(c * V for c in self._escape_cache.first_row(dst)[node])
+
+    def _header_request(self, w: Worm) -> tuple:
+        """The in-network request of *w*'s routing-ready header:
+        ``(w, None, ())`` for the destination's consumption port,
+        otherwise ``(w, head_vc, candidate VCs)``."""
+        head = w.chain[0]
+        if self._sink[head // self.V] == w.dst:
+            return (w, None, ())
+        return (w, head, self._candidate_vcs(w, head))
 
     # -- internals ----------------------------------------------------------
     def _move(self) -> bool:
@@ -416,11 +440,17 @@ class VirtualChannelSimulator(SimulatorCore):
         order), organised around the same active-set machinery as the
         base engine's fast path:
 
-        * the in-network header-request list is rebuilt (in active
-          order — the arbitration RNG permutes its indices) only inside
-          the dirty window opened by grants, fault mutations and epoch
-          swaps, with each blocked worm's request memoized on the worm;
-        * requests bake the *physical* candidate rows from the
+        * header arbitration is the shared core's (see
+          :class:`~repro.simulator.engine.SimulatorCore`): requests
+          are kept in active order, and a request that was not granted
+          is parked on the waiter lists of all its candidate VCs (or its
+          destination's consumption port) once every one of them is
+          busy, until phase 4 or a fault hook releases one.  A request
+          that lost only to this clock's link budgets (``send_used`` on
+          its head's physical channel, ``recv_used`` on its free
+          candidates) stays unparked; injecting sources block on the
+          wheel by the same rule;
+        * requests list their candidate VCs, expanded once from the
           per-epoch decision caches (adaptive + escape under ``duato``);
           only the per-clock free-VC filtering stays in the grant loop;
         * idle sources live on the injection event wheel;
@@ -433,18 +463,18 @@ class VirtualChannelSimulator(SimulatorCore):
           this clock (the non-quiet ones), preserving active order so
           the delivery sample sequences stay byte-identical.
         """
+        if self._arb_stale:
+            self._rebuild_arbitration()
         cap = self._cap
         V = self.V
         clock = self.clock
         stats = self.stats
         occ = self.vc_occ
-        sink = self._sink
         active = self.active
         rec = stats.active
         ch_flits = stats.channel_flits
         consumed_flits = stats.consumed_flits
         injected_flits = stats.injected_flits
-        duato = self.duato
         rng = self.rng
 
         # physical-channel receive/send budgets for this clock
@@ -452,47 +482,11 @@ class VirtualChannelSimulator(SimulatorCore):
         send_used: set = set()
 
         # -- header requests on start-of-clock state --------------------
-        cache = self.decision_cache
-        esc_cache = self._escape_cache
-        in_net = self._req_cache
-        if in_net is None or clock <= self._req_dirty_until:
-            next_rows = cache._next_rows
-            in_net = []
-            req_append = in_net.append
-            for w in active:
-                req = w.hdr_req
-                if req is not None:
-                    req_append(req)
-                    continue
-                if w.consuming or not w.chain or w.head_ready_at > clock:
-                    continue
-                head = w.chain[0]
-                p_head = head // V
-                dst = w.dst
-                if sink[p_head] == dst:
-                    req = (w, -2, p_head)  # consumption request
-                elif not duato:
-                    row = next_rows[dst]
-                    if row is None:
-                        row = cache.next_row(dst)
-                    req = (w, head, row[p_head])
-                elif head % V == 0:
-                    # on the escape layer: stay on escape
-                    erow = esc_cache._next_rows[dst]
-                    if erow is None:
-                        erow = esc_cache.next_row(dst)
-                    req = (w, head, ((), erow[p_head]))
-                else:
-                    arow = next_rows[dst]
-                    if arow is None:
-                        arow = cache.next_row(dst)
-                    erow = esc_cache._first_rows[dst]
-                    if erow is None:
-                        erow = esc_cache.first_row(dst)
-                    req = (w, head, (arow[p_head], erow[sink[p_head]]))
-                w.hdr_req = req
-                req_append(req)
-            self._req_cache = in_net
+        reqs = self._reqs
+        keys = self._req_keys
+        ripening = self._ripening
+        if ripening and ripening[0][0] <= clock:
+            self._ripen(clock)
         # injection requests from the event wheel, in ascending source
         # order (matching the reference's full enumerate scan)
         wheel = self._wheel
@@ -501,7 +495,6 @@ class VirtualChannelSimulator(SimulatorCore):
             wheel.advance(clock)
         inj_reqs: List[tuple] = []
         if wheel.pending:
-            first_rows = cache._first_rows
             inj_occ = self.injection_occ
             queues = self.queues
             for s in sorted(wheel.pending):
@@ -517,119 +510,96 @@ class VirtualChannelSimulator(SimulatorCore):
                 if w.head_ready_at > clock:
                     wheel.park_until(s, w.head_ready_at)
                     continue
-                dst = w.dst
-                if not duato:
-                    row = first_rows[dst]
-                    if row is None:
-                        row = cache.first_row(dst)
-                    inj_reqs.append((w, -1, row[s]))
-                else:
-                    arow = first_rows[dst]
-                    if arow is None:
-                        arow = cache.first_row(dst)
-                    erow = esc_cache._first_rows[dst]
-                    if erow is None:
-                        erow = esc_cache.first_row(dst)
-                    inj_reqs.append((w, -1, (arow[s], erow[s])))
-        requests = in_net + inj_reqs if inj_reqs else in_net
+                req = w.hdr_req = (w, -1, self._candidate_vcs(w, None))
+                w.parked = False
+                inj_reqs.append(req)
 
         # -- header grants, committed inline under the link budgets -----
         hdr_latency = self._hdr_latency
         consume_occ = self.consume_occ
         shifted: set = set()
-        any_grant = False
-        if requests:
-            order = rng.permutation(len(requests)).tolist()
-            for req in map(requests.__getitem__, order):
-                w, origin, cands = req
-                if origin == -2:  # consumption
-                    dst = w.dst
-                    if consume_occ[dst] == FREE:
-                        consume_occ[dst] = w.pid
-                        any_grant = True
-                        w.quiet = False
-                        w.hdr_req = None
-                        w.consuming = True
-                        w.t_head_arrival = clock
-                        w.chain_flits[0] -= 1
-                        w.consumed += 1
-                        # the header flit leaves its physical channel
-                        send_used.add(cands)
-                        if rec:
-                            consumed_flits[dst] += 1
+        losers: List[tuple] = []
+        for req in self._visit_order(inj_reqs):
+            w, origin, cands = req
+            if origin is None:  # consumption
+                dst = w.dst
+                if consume_occ[dst] != FREE:
+                    losers.append(req)
                     continue
-                if origin >= 0:
-                    p_head = origin // V
-                    if p_head in send_used:
-                        continue
-                # admissible free VCs in reference order (dead physical
-                # channels are pre-filtered by the cached rows)
-                avail: List[int] = []
-                if not duato:
-                    for c in cands:
-                        if c in recv_used:
-                            continue
-                        base = c * V
-                        for vci in range(base, base + V):
-                            if occ[vci] == FREE:
-                                avail.append(vci)
-                else:
-                    adapt, esc = cands
-                    for c in adapt:
-                        if c in recv_used:
-                            continue
-                        base = c * V
-                        for vci in range(base + 1, base + V):
-                            if occ[vci] == FREE:
-                                avail.append(vci)
-                    for c in esc:
-                        if c in recv_used:
-                            continue
-                        ev = c * V
-                        if occ[ev] == FREE:
-                            avail.append(ev)
-                if not avail:
-                    continue
-                pick = (
-                    avail[int(rng.integers(len(avail)))]
-                    if len(avail) > 1
-                    else avail[0]
-                )
-                any_grant = True
-                p_pick = pick // V
-                recv_used.add(p_pick)
-                occ[pick] = w.pid
+                consume_occ[dst] = w.pid
+                i = bisect_left(keys, w.seq)
+                del keys[i]
+                del reqs[i]
+                w.quiet = False
+                w.hdr_req = None
+                w.consuming = True
+                w.t_head_arrival = clock
+                w.chain_flits[0] -= 1
+                w.consumed += 1
+                # the header flit leaves its physical channel
+                send_used.add(w.chain[0] // V)
                 if rec:
-                    ch_flits[p_pick] += 1
-                if origin == -1:  # injection
-                    self.injection_occ[w.src] = w.pid
-                    self.queues[w.src].popleft()
-                    active.append(w)
-                    w.t_inject = clock
-                    w.chain = [pick]
-                    w.chain_flits = [1]
-                    w.flits_at_source -= 1
-                    w.hops = 1
-                    if rec:
-                        injected_flits[w.src] += 1
-                    if w.flits_at_source == 0:
-                        self.injection_occ[w.src] = FREE
-                        wheel.wake(w.src)
-                else:  # in-network hop
-                    w.quiet = False
-                    w.hdr_req = None
-                    send_used.add(p_head)
-                    w.chain.insert(0, pick)
-                    w.chain_flits.insert(0, 1)
-                    w.chain_flits[1] -= 1
-                    w.hops += 1
-                    shifted.add(w.pid)
-                w.head_ready_at = clock + hdr_latency
-        if any_grant:
-            # granted headers leave (or re-time) the request set now
-            # and re-enter it after their routing delay
-            self._req_cache = None
-            self._req_dirty_until = clock + hdr_latency
+                    consumed_flits[dst] += 1
+                continue
+            if origin >= 0:
+                p_head = origin // V
+                if p_head in send_used:
+                    losers.append(req)
+                    continue
+            # admissible free VCs in reference order (dead physical
+            # channels are pre-filtered by the cached rows)
+            avail = [
+                vc for vc in cands if occ[vc] == FREE and vc // V not in recv_used
+            ]
+            if not avail:
+                losers.append(req)
+                continue
+            pick = avail[int(rng.integers(len(avail)))] if len(avail) > 1 else avail[0]
+            p_pick = pick // V
+            recv_used.add(p_pick)
+            occ[pick] = w.pid
+            w.hdr_req = None
+            w.head_ready_at = clock + hdr_latency
+            ripening.append((w.head_ready_at, w))
+            if rec:
+                ch_flits[p_pick] += 1
+            if origin == -1:  # injection
+                self.injection_occ[w.src] = w.pid
+                self.queues[w.src].popleft()
+                active.append(w)
+                w.seq = self._next_seq
+                self._next_seq += 1
+                w.t_inject = clock
+                w.chain = [pick]
+                w.chain_flits = [1]
+                w.flits_at_source -= 1
+                w.hops = 1
+                if rec:
+                    injected_flits[w.src] += 1
+                if w.flits_at_source == 0:
+                    self.injection_occ[w.src] = FREE
+                    wheel.wake(w.src)
+            else:  # in-network hop
+                i = bisect_left(keys, w.seq)
+                del keys[i]
+                del reqs[i]
+                w.quiet = False
+                send_used.add(p_head)
+                w.chain.insert(0, pick)
+                w.chain_flits.insert(0, 1)
+                w.chain_flits[1] -= 1
+                w.hops += 1
+                shifted.add(w.pid)
+        # park a loser only once every resource it asks for is busy; one
+        # that lost only a link budget is visited again next clock
+        parked: List[tuple] = []
+        for req in losers:
+            if req[1] is None or all(occ[vc] != FREE for vc in req[2]):
+                parked.append(req)
+            elif req[1] != -1:
+                self._hot.append(req)
+        if parked:
+            self._park(parked)
 
         # -- body plans over the non-quiet worms ------------------------
         # kinds: 0 = consume, 1 = advance, 2 = feed.  Quiet worms have
@@ -722,8 +692,11 @@ class VirtualChannelSimulator(SimulatorCore):
         # -- releases and completions (touched worms only) --------------
         # only non-quiet worms can have changed state this clock, and
         # iterating the active list keeps the delivery emission order
-        # identical to the reference's
+        # identical to the reference's.  Each release wakes the requests
+        # parked on that resource.
         finished: List[Worm] = []
+        waiters = self._waiters
+        n_vc = len(occ)
         for w in active:
             if w.quiet:
                 continue
@@ -736,9 +709,13 @@ class VirtualChannelSimulator(SimulatorCore):
                 vc = w.chain.pop()
                 w.chain_flits.pop()
                 occ[vc] = FREE
+                if waiters[vc]:
+                    self._wake_requests(vc)
             if w.consuming and w.consumed == w.length:
                 w.t_done = clock
                 consume_occ[w.dst] = FREE
+                if waiters[n_vc + w.dst]:
+                    self._wake_requests(n_vc + w.dst)
                 finished.append(w)
                 if w.corrupted:
                     stats.on_corrupted()

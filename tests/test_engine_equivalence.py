@@ -26,6 +26,9 @@ Three independent layers of cross-checking:
   back-to-back injections at several sources produce identical
   per-worm event logs on both engines.
 
+* **VC link-budget losers** (``TestVcBudgetLoser``): a VC header that
+  loses only a physical link's budget stays unparked on the fast path.
+
 * **Cross-engine consistency**: base engine vs VC engine at
   ``num_vcs=1`` — two independently written step functions modelling
   the same machine must agree statistically.
@@ -60,6 +63,7 @@ from repro.simulator import (
     simulate,
     simulate_vc,
 )
+from repro.simulator.engine import FREE
 from repro.simulator.packet import Worm
 from repro.simulator.trace import TraceRecorder
 from repro.simulator.traffic import (
@@ -69,6 +73,8 @@ from repro.simulator.traffic import (
 )
 from repro.topology import zoo
 from repro.topology.generator import random_irregular_topology
+from repro.topology.graph import Topology
+from tests.helpers import fixed_path_routing
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +417,8 @@ def test_random_vc_scenarios_fast_matches_reference(
 ):
     """The VC engine's reference and fast paths agree on the same random
     scenarios: 1-3 replicated VCs, or Duato routing on 3 VCs (fault-free
-    only — ``attach_faults`` refuses the Duato policy)."""
+    only — ``attach_faults`` refuses the Duato policy), and the fast
+    path's parked requests stay blocked on busy, registered VCs."""
     if vcs == "duato":
         assume(faults is None)
 
@@ -484,6 +491,48 @@ class TestInjectionInterleaving:
         assert got == ref, (
             "fast interleaved same-clock injections differently from "
             "the reference event wheel"
+        )
+
+
+class TestVcBudgetLoser:
+    """Two headers reach switch 2 in the same clock and request its one
+    output link, whose two VCs are free: the first grant spends the
+    link's receive budget, so the second loses with a free candidate VC
+    left.  The base engine has no link budgets; on the VC fast path such
+    a loser must stay unparked and be granted the next clock."""
+
+    @staticmethod
+    def _sim(engine):
+        topo = Topology(4, [(0, 2), (1, 2), (2, 3)])
+        routing = fixed_path_routing(
+            topo, {(0, 3): [0, 2, 3], (1, 3): [1, 2, 3]}
+        )
+        cfg = _small_cfg(packet_length=8, measure_clocks=100, seed=3)
+        sim = VirtualChannelSimulator(routing, cfg.with_engine(engine), num_vcs=2)
+        worms = [Worm(0, 0, 3, 8, 0), Worm(1, 1, 3, 8, 0)]
+        for w in worms:
+            sim.queues[w.src].append(w)
+            sim.worms[w.pid] = w
+        return sim, worms
+
+    def test_budget_loser_stays_unparked(self):
+        sim, worms = self._sim("fast")
+        sim.enable_invariant_checks()
+        # both inject at clock 0; their heads are routing-ready together
+        for _ in range(sim._hdr_latency + 1):
+            sim.step()
+        out = sim.topology.channel_id(2, 3)
+        winner, loser = sorted(worms, key=lambda w: -len(w.chain))
+        assert sim.phys(winner.chain[0]) == out and len(loser.chain) == 1
+        assert FREE in sim.vc_occ[out * 2 : out * 2 + 2]
+        assert not loser.parked
+        assert any(req is loser.hdr_req for req in sim._hot)
+        sim.step()
+        assert sim.phys(loser.chain[0]) == out
+
+    def test_fast_matches_reference(self):
+        _assert_equal(
+            [self._sim(e)[0].run().canonical_digest() for e in BIT_EXACT_ENGINES]
         )
 
 
