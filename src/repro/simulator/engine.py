@@ -87,6 +87,14 @@ class SimulatorCore:
     per-resource waiter lists of parked requests, rebuilt from scratch
     after every fault hook or epoch change (:meth:`_rebuild_arbitration`).
 
+    And it holds the stream table ``_streams``: steady streams the base
+    fast path took off its per-clock scan, with their clocks applied
+    lazily.  :meth:`_settle_streams` applies the elapsed clocks (at the
+    warmup/measurement boundary, before timeline ticks and the final
+    statistics, after every public :meth:`step`, and in invariant
+    mode); :meth:`_end_streams` also returns the worms to the live list
+    before a fault hook reads or rewrites them.
+
     A subclass supplies the resource model.  Worm chains index the
     occupancy list ``_chain_occ`` (physical channels in
     :class:`WormholeSimulator`, virtual channels in
@@ -178,6 +186,10 @@ class SimulatorCore:
         self._waiters: List[List[tuple]] = []
         self._next_seq = 0
         self._arb_stale = True
+        #: steady streams off the per-clock scan (base fast path only):
+        #: end clock -> [[worm, first unapplied clock], ...]; see
+        #: :meth:`_settle_streams`
+        self._streams: Dict[int, List[list]] = {}
 
     # ------------------------------------------------------------------
     # routing tables (epoch-atomic swap point)
@@ -222,19 +234,29 @@ class SimulatorCore:
     # public driver
     # ------------------------------------------------------------------
     def run(self) -> SimulationStats:
-        """Run warmup + measurement and return the window statistics."""
+        """Run warmup + measurement and return the window statistics.
+
+        Running streams are settled only where their counts are read:
+        at the warmup/measurement boundary (the counters start there),
+        before each timeline snapshot, and before the statistics are
+        frozen.
+        """
         cfg = self.config
-        step = self.step
+        step = self._step
         for _ in range(cfg.warmup_clocks):
             step()
+        self._settle_streams()
         stats = self.stats
         stats.active = True
-        sample_timeline = stats.timeline_interval > 0
+        interval = stats.timeline_interval
         for _ in range(cfg.measure_clocks):
             step()
             stats.window_clocks += 1
-            if sample_timeline:
+            if interval > 0:
+                if stats.window_clocks % interval == 0:
+                    self._settle_streams()
                 stats.on_tick()
+        self._settle_streams()
         backlog = sum(len(q) for q in self.queues)
         reconfigs = self.faults.records if self.faults is not None else ()
         return self.stats.finalize(queue_backlog=backlog, reconfigurations=reconfigs)
@@ -267,7 +289,16 @@ class SimulatorCore:
     # one clock
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Advance the simulation by one clock."""
+        """Advance the simulation by one clock.
+
+        Settles the running streams afterwards, so a caller stepping by
+        hand reads every worm and counter exactly.
+        """
+        self._step()
+        self._settle_streams()
+
+    def _step(self) -> None:
+        """One clock, leaving streams unsettled (the :meth:`run` loop)."""
         if self.faults is not None:
             self.faults.on_clock(self)
         progressed = self._move_impl()
@@ -292,8 +323,13 @@ class SimulatorCore:
 
     def _check_state(self) -> None:
         """Per-clock invariant checks (see :meth:`enable_invariant_checks`)."""
+        # this clock's moves are done: settle through it (the streams
+        # keep running, so invariant mode still exercises them)
+        self._settle_streams(self.clock + 1)
         for w in self.active:
             w.check_invariant()
+        if self._streams:
+            self._check_streams()
         if self.engine_name == "fast":
             self._check_parking()
 
@@ -556,6 +592,78 @@ class SimulatorCore:
             check(req)
 
     # ------------------------------------------------------------------
+    # steady streams (base fast path)
+    # ------------------------------------------------------------------
+    def _settle_streams(self, now: Optional[int] = None) -> None:
+        """Apply every running stream's clocks before *now* (default: the
+        current clock) to its worm, and to the counters while measuring.
+
+        A stream is a worm in the steady state — consuming at the head,
+        fed at the tail, one flit in every channel — whose next clocks
+        repeat one move until its source runs dry (see
+        :meth:`WormholeSimulator._move_fast`).  The streams keep running.
+        """
+        if not self._streams:
+            return
+        if now is None:
+            now = self.clock
+        for entries in self._streams.values():
+            for entry in entries:
+                clocks = now - entry[1]
+                if clocks > 0:
+                    self._advance_stream(entry[0], clocks)
+                    entry[1] = now
+
+    def _check_streams(self) -> None:
+        """Assert the stream table, settled through this clock: each
+        worm is an active steady stream off the live list whose source
+        runs dry exactly at its end clock (invariant mode)."""
+        clock = self.clock
+        live = {id(w) for w in self._live}
+        active = {id(w) for w in self.active}
+        for end, entries in self._streams.items():
+            for w, first in entries:
+                if (
+                    first != clock + 1
+                    or w.flits_at_source != end - clock
+                    or not w.consuming
+                    or any(f != 1 for f in w.chain_flits)
+                ):
+                    raise AssertionError(
+                        f"worm {w.pid} is no steady stream ending at {end}"
+                    )
+                if id(w) in live or id(w) not in active:
+                    raise AssertionError(f"stream worm {w.pid} is misfiled")
+
+    def _end_streams(self) -> None:
+        """Settle every stream and return its worm to the live list
+        (the base engine's: only it fills the table).
+
+        Called before anything outside the clock step reads or rewrites
+        worms: the fault hooks and :meth:`_drop_worm`.
+        """
+        if not self._streams:
+            return
+        self._settle_streams()
+        live = self._live
+        for entries in self._streams.values():
+            for w, _ in entries:
+                live.append(w)
+        self._streams = {}
+
+    def _advance_stream(self, w: Worm, clocks: int) -> None:
+        """Apply *clocks* steady-stream moves to *w* and its counters."""
+        w.consumed += clocks
+        w.flits_at_source -= clocks
+        stats = self.stats
+        if stats.active:
+            stats.consumed_flits[w.dst] += clocks
+            stats.injected_flits[w.src] += clocks
+            ch_flits = stats.channel_flits
+            for c in w.chain:
+                ch_flits[c] += clocks
+
+    # ------------------------------------------------------------------
     # fault hooks (driven by repro.faults.FaultRuntime)
     # ------------------------------------------------------------------
     def _fault_kill_link(self, link: Tuple[int, int], policy: str) -> List[Worm]:
@@ -570,6 +678,7 @@ class SimulatorCore:
         layer when it finishes draining.  Returns the worms removed
         *now* (drain fragments are reported later, at completion).
         """
+        self._end_streams()
         u, v = link
         cids = (self.topology.channel_id(u, v), self.topology.channel_id(v, u))
         self.dead_channels.update(cids)
@@ -631,6 +740,7 @@ class SimulatorCore:
         worm removed, including those taken out by the incident-link
         kills.
         """
+        self._end_streams()
         removed: List[Worm] = []
         for nb in self.topology.neighbors(v):
             link = (v, nb) if v < nb else (nb, v)
@@ -672,6 +782,7 @@ class SimulatorCore:
         whose destination became unroutable (endpoint died) are
         cancelled.  Returns ``(ejected worms, cancelled packets)``.
         """
+        self._end_streams()
         ejected: List[Worm] = []
         for w in list(self.active):
             if w.consuming or not w.chain:
@@ -709,6 +820,7 @@ class SimulatorCore:
 
     def _drop_worm(self, w: Worm) -> None:
         """Remove *w* from the network, freeing every held resource."""
+        self._end_streams()
         occ = self._chain_occ
         for c in w.chain:
             occ[c] = FREE
@@ -1050,6 +1162,19 @@ class WormholeSimulator(SimulatorCore):
           the reference's state.  Only the injection port of a worm
           that fed its last flit is freed after arbitration, as in the
           reference;
+        * **steady streams off the scan.**  A steady stream holds every
+          resource it needs and requests none, so its next clocks repeat
+          this move until its source runs dry.  After a steady move that
+          leaves ``f > 0`` flits at the source, the worm leaves the live
+          list and enters the core's stream table at end clock
+          ``clock + f``.  Phase 1 of that clock applies its unsettled
+          clocks, frees its injection port and returns it to the live
+          list, so phase 4 sees what it would have seen.  In between,
+          counts are applied only where they are read
+          (:meth:`SimulatorCore._settle_streams`).  Only this engine
+          fills the table: in the VC engine a flit competes with other
+          VCs for its physical channel's link budget, so a stream's
+          future is not fixed there;
         * **incremental request list.**  The arbitration RNG permutes
           request *indices*, so the in-network requests are kept in
           active order (``_reqs``, keyed by each worm's ``seq``).  A
@@ -1066,7 +1191,8 @@ class WormholeSimulator(SimulatorCore):
           sources block the same way on their first-hop channels
           (:meth:`InjectionWheel.block`); the other idle sources live on
           the injection event wheel (parked on a routing-delay timer or
-          a busy injection port, woken by any queue mutation);
+          a busy injection port, woken when the queue's front or
+          emptiness changes);
         * routing candidates come from the per-epoch decision cache
           (flat rows with dead channels pre-filtered).  Table swaps,
           dead-channel changes and fault hooks set ``_arb_stale``, and
@@ -1100,6 +1226,20 @@ class WormholeSimulator(SimulatorCore):
         moves = 0
         visited = 0
         stream_ok = cap > 1  # a full 1-flit buffer blocks its upstream
+        streams = self._streams
+        # every stream in the table moves this clock
+        streaming = bool(streams)
+        if streaming:
+            ended = streams.pop(clock, None)
+            if ended:
+                # the last clock of these streams: apply the clocks not
+                # yet settled and hand the worms back to phase 4, their
+                # sources' ports freed as a last feed frees them
+                for w, first in ended:
+                    self._advance_stream(w, clock + 1 - first)
+                    freed_src.append(w.src)
+                    live_append(w)
+                visited += len(ended)
         for w in self._live:
             if w.quiet:
                 continue
@@ -1118,16 +1258,21 @@ class WormholeSimulator(SimulatorCore):
                 # head, fed at the tail): every flit moves one channel
                 # and the counts come out unchanged
                 w.consumed += 1
-                w.flits_at_source -= 1
+                f = w.flits_at_source = w.flits_at_source - 1
                 moves += 1
                 if rec:
                     consumed_flits[w.dst] += 1
                     injected_flits[w.src] += 1
                     for c in w.chain:
                         ch_flits[c] += 1
-                if w.flits_at_source == 0:
+                if f == 0:
                     freed_src.append(w.src)
-                live_append(w)
+                    live_append(w)
+                    continue
+                # the next f clocks repeat this move and nothing else
+                # touches the worm: it leaves the live list until its
+                # last clock (entries are settled lazily)
+                streams.setdefault(clock + f, []).append([w, clock + 1])
                 continue
             before = moves
             cur = cf[0]  # start-of-clock count of channel i
@@ -1339,7 +1484,7 @@ class WormholeSimulator(SimulatorCore):
             self.active = [w for w in self.active if w.pid not in done_ids]
             for w in finished:
                 self.worms.pop(w.pid, None)
-        return bool(grants) or moves > 0
+        return bool(grants) or moves > 0 or streaming
 
     def _arbitrate(self, visit: List[tuple], grants: list, losers: list) -> None:
         """Grant the unparked requests *visit*, in permutation order.

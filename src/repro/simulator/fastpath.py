@@ -18,8 +18,9 @@ committed flit:
 * **Idle sources need no per-clock attention.**  A source switch only
   matters to the injection arbitration while it has a queued packet, a
   free injection port and a routing-ready header.  The
-  :class:`InjectionWheel` tracks exactly that set: queue mutations wake
-  a source (:class:`NotifyingDeque` signals appends/pops), a busy
+  :class:`InjectionWheel` tracks exactly that set: a queue mutation that
+  changes the front packet wakes a source (:class:`NotifyingDeque`; an
+  append behind an existing front changes nothing), a busy
   injection port parks it until the credit comes back (the engine wakes
   it when the port frees), and a header still inside its routing delay
   parks it on a timer keyed by the **engine clock** — the wheel never
@@ -143,9 +144,10 @@ class InjectionWheel:
     ``blocked``: they still request every clock, so the engine needs
     their count and their rank among the requesting sources.  Queue
     mutations from any layer (traffic generation, fault-retry
-    re-injection, tests pushing worms directly) wake a source through
-    :class:`NotifyingDeque`; waking or sleeping a source also unblocks
-    it, so a source is never both pending and blocked.
+    re-injection, tests pushing worms directly) that change a queue's
+    front wake its source through :class:`NotifyingDeque`; waking or
+    sleeping a source also unblocks it, so a source is never both
+    pending and blocked.
 
     The wheel deliberately has **no clock of its own**: every timer
     carries an absolute engine-clock deadline and :meth:`advance` is
@@ -222,7 +224,9 @@ class NotifyingDeque(deque):
     Every mutation that can change the queue's emptiness (or its front
     packet) signals the wheel, so external writers — tests scripting a
     worm with ``sim.queues[s].append(w)``, the fault layer re-enqueueing
-    retries — need no knowledge of the scheduler.
+    retries — need no knowledge of the scheduler.  Only those changes
+    signal: an append to a non-empty queue leaves the source in whatever
+    state its front put it (pending, parked, asleep or blocked).
     """
 
     def __init__(self, wheel: InjectionWheel, src: int) -> None:
@@ -232,7 +236,8 @@ class NotifyingDeque(deque):
 
     def append(self, item) -> None:
         deque.append(self, item)
-        self.wheel.wake(self.src)
+        if len(self) == 1:  # a non-empty queue keeps its front
+            self.wheel.wake(self.src)
 
     def appendleft(self, item) -> None:
         deque.appendleft(self, item)

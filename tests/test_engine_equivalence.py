@@ -26,6 +26,12 @@ Three independent layers of cross-checking:
   back-to-back injections at several sources produce identical
   per-worm event logs on both engines.
 
+* **Steady streams** (``TestSteadyStreams``): the base fast path runs a
+  steady stream off its per-clock scan and settles it lazily; every
+  settle point (the warmup boundary, timeline ticks, fault hooks,
+  invariant mode, the public ``step()``) must read exact worms and
+  counters.
+
 * **VC link-budget losers** (``TestVcBudgetLoser``): a VC header that
   loses only a physical link's budget stays unparked on the fast path.
 
@@ -46,6 +52,7 @@ from hypothesis import strategies as st
 
 from repro.core.downup import build_down_up_routing
 from repro.faults import (
+    FaultEvent,
     FaultRuntime,
     FaultSchedule,
     ReconfigurationController,
@@ -492,6 +499,166 @@ class TestInjectionInterleaving:
             "fast interleaved same-clock injections differently from "
             "the reference event wheel"
         )
+
+
+class TestSteadyStreams:
+    """A consuming, feeding worm with one flit in every channel repeats
+    one move until its source runs dry.  The base fast path takes such a
+    stream off the per-clock scan (``SimulatorCore._streams``) and
+    applies its clocks lazily; each point that reads a streaming worm
+    or the flit counters must see what the reference engine sees."""
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        topo = random_irregular_topology(24, 4, rng=9)
+        return topo, build_down_up_routing(topo, rng=7)
+
+    @staticmethod
+    def _cfg(**overrides):
+        base = dict(
+            packet_length=64,
+            injection_rate=0.3,
+            warmup_clocks=700,
+            measure_clocks=1_500,
+            seed=23,
+        )
+        base.update(overrides)
+        return SimulationConfig(**base)
+
+    def test_warmup_boundary_inside_a_stream(self, net):
+        _topo, routing = net
+        cfg = self._cfg()
+        probe = WormholeSimulator(routing, cfg)
+        for _ in range(cfg.warmup_clocks):
+            probe._step()  # the run() loop: no per-clock settle
+        assert any(
+            first < probe.clock
+            for entries in probe._streams.values()
+            for _w, first in entries
+        ), "no stream straddles the warmup boundary"
+        _assert_equal(_digests(lambda c: WormholeSimulator(routing, c), cfg))
+
+    def test_timeline_ticks_settle_streams(self, net):
+        _topo, routing = net
+        cfg = self._cfg()
+        results = []
+        for engine in BIT_EXACT_ENGINES:
+            sim = WormholeSimulator(routing, cfg.with_engine(engine))
+            sim.stats.timeline_interval = 97  # ticks at arbitrary clocks
+            results.append(sim.run())
+        assert len(results[0].timeline) == cfg.measure_clocks // 97
+        assert results[0].throughput_series() == results[1].throughput_series()
+        _assert_equal([r.canonical_digest() for r in results])
+
+    def test_invariant_mode_keeps_streams_running(self, net):
+        _topo, routing = net
+        outlived = []
+
+        def make(c):
+            sim = WormholeSimulator(routing, c)
+            sim.enable_invariant_checks()
+            if sim.engine_name == "fast":
+                check = sim._check_state
+
+                def checked():
+                    check()
+                    outlived.append(max(sim._streams, default=-1) > sim.clock)
+
+                sim._check_state = checked
+            return sim
+
+        _assert_equal(_digests(make, self._cfg()))
+        assert any(outlived), "no stream outlived a clock in invariant mode"
+
+    def test_step_reads_exact_worms_and_counters(self, net):
+        """The public ``step()`` settles after every clock."""
+        _topo, routing = net
+        cfg = self._cfg(warmup_clocks=0)
+        sims = [WormholeSimulator(routing, cfg.with_engine(e)) for e in BIT_EXACT_ENGINES]
+        for sim in sims:
+            sim.stats.active = True
+
+        def state(sim):
+            st = sim.stats
+            worms = [(w.pid, w.consumed, w.flits_at_source) for w in sim.active]
+            return worms, st.channel_flits, st.consumed_flits, st.injected_flits
+
+        streamed = 0
+        for _ in range(800):
+            for sim in sims:
+                sim.step()
+            streamed += bool(sims[-1]._streams)
+            assert state(sims[0]) == state(sims[-1]), f"clock {sims[0].clock}"
+        assert streamed > 100
+
+    def test_a_stream_leaves_the_scan(self):
+        """A lone 64-flit worm on 2-flit buffers: once it streams, the
+        body scan stops visiting it until its source runs dry."""
+        topo = Topology(4, [(0, 1), (1, 2), (2, 3)])
+        routing = fixed_path_routing(topo, {(0, 3): [0, 1, 2, 3]})
+        cfg = _small_cfg(packet_length=64, buffer_flits=2)
+        sim = WormholeSimulator(routing, cfg)
+        sim.stats.active = True
+        w = Worm(0, 0, 3, 64, 0)
+        sim.queues[0].append(w)
+        sim.worms[0] = w
+        while not w.consuming:
+            sim.step()
+        before = sim.stats.sched_visited_worms
+        while w.t_done is None:
+            sim.step()
+        assert sim.stats.sched_visited_worms - before < 12
+
+    # -- fault hooks end the streams they meet ---------------------------
+    @staticmethod
+    def _lone_worm(routing, engine="fast", schedule=None, policy="drop"):
+        cfg = _small_cfg(packet_length=64, measure_clocks=300, seed=0)
+        sim = WormholeSimulator(routing, cfg.with_engine(engine))
+        if schedule is not None:
+            ctrl = ReconfigurationController(
+                lambda sub: build_down_up_routing(sub, rng=1), drain_clocks=16
+            )
+            sim.attach_faults(FaultRuntime(schedule, ctrl, policy=policy))
+        sim._fault_requeue(0, 3, 64, logical_id=0, attempts=0, t_gen=0)
+        return sim
+
+    def _streaming_at(self, routing, clock):
+        """The lone worm, streaming with unsettled clocks at *clock*."""
+        sim = self._lone_worm(routing)
+        for _ in range(clock):
+            sim._step()
+        ((w, first),) = [e for entries in sim._streams.values() for e in entries]
+        assert first < clock
+        return w
+
+    def _run_both(self, routing, schedule, policy):
+        results = [
+            self._lone_worm(routing, e, schedule, policy).run()
+            for e in BIT_EXACT_ENGINES
+        ]
+        _assert_equal([r.canonical_digest() for r in results])
+        return results[-1]
+
+    def test_drain_link_kill_truncates_a_stream(self, ring6):
+        routing = build_down_up_routing(ring6, rng=1)
+        w = self._streaming_at(routing, 40)
+        ch = ring6.channel(w.chain[1])
+        sched = FaultSchedule(
+            ring6,
+            [FaultEvent(cycle=40, kind="link_down", link=(ch.start, ch.sink))],
+        )
+        stats = self._run_both(routing, sched, "drain")
+        assert stats.corrupted_deliveries == 1
+
+    @pytest.mark.parametrize("policy", ["drop", "drain"])
+    def test_switch_kill_at_a_streaming_source(self, ring6, policy):
+        routing = build_down_up_routing(ring6, rng=1)
+        w = self._streaming_at(routing, 40)
+        sched = FaultSchedule(
+            ring6, [FaultEvent(cycle=40, kind="switch_down", switch=w.src)]
+        )
+        stats = self._run_both(routing, sched, policy)
+        assert stats.fault_drops == 1
 
 
 class TestVcBudgetLoser:

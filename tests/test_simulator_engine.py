@@ -12,6 +12,7 @@ from repro.simulator import (
     WormholeSimulator,
     simulate,
 )
+from repro.simulator.fastpath import InjectionWheel, NotifyingDeque
 from repro.simulator.packet import Worm
 from repro.topology.graph import Topology
 from tests.helpers import FixedDestinationTraffic, fixed_path_routing
@@ -315,6 +316,39 @@ class TestParkingInvariant:
             sim.channel_occ[cands if isinstance(cands, int) else cands[0]] = -1
         with pytest.raises(AssertionError, match="parked on free resource"):
             sim._check_parking()
+
+
+class TestNotifyingDeque:
+    """A source queue signals the injection wheel only when its
+    emptiness or its front changes."""
+
+    def test_append_to_empty_queue_wakes_the_source(self):
+        wheel = InjectionWheel()
+        q = NotifyingDeque(wheel, 3)
+        q.append("a")
+        assert wheel.pending == {3} and wheel.blocked == []
+
+    @pytest.mark.parametrize("state", ["blocked", "asleep"])
+    def test_append_behind_a_front_changes_nothing(self, state):
+        wheel = InjectionWheel()
+        q = NotifyingDeque(wheel, 3)
+        q.append("a")
+        if state == "blocked":
+            wheel.block(3)
+        else:
+            wheel.sleep(3)
+        pending, blocked = set(wheel.pending), list(wheel.blocked)
+        q.append("b")
+        assert wheel.pending == pending and wheel.blocked == blocked
+
+    def test_popleft_to_a_new_front_wakes_the_source(self):
+        wheel = InjectionWheel()
+        q = NotifyingDeque(wheel, 3)
+        q.append("a")
+        q.append("b")
+        wheel.block(3)
+        q.popleft()
+        assert wheel.pending == {3} and wheel.blocked == []
 
 
 class TestLoadBehaviour:
